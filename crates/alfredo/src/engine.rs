@@ -1142,6 +1142,31 @@ const HANDSHAKE_THREAD_CAP: usize = 8;
 /// holds a handshake permit for at most this long.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// How long the TCP accept loop waits before it retries after an
+/// `accept(2)` error that the failed connection does not explain.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
+
+/// How long to pause before the next `accept(2)` after it failed with
+/// `err`. No error ends the accept loop — only shutdown does: one `EMFILE`
+/// must not cost the device its listener for good.
+///
+/// * The error belongs to the connection that was being accepted (the
+///   peer reset or aborted it while it sat in the accept queue, or a
+///   signal interrupted the call): the next one is unaffected, retry now.
+/// * Anything else — above all descriptor or memory exhaustion (`EMFILE`,
+///   `ENFILE`, `ENOBUFS`, `ENOMEM`), which lasts until some connection
+///   closes — would fail again at once: pause first, so the loop neither
+///   spins nor starves the threads that would free the resource.
+fn accept_retry_pause(err: &std::io::Error) -> Duration {
+    use std::io::ErrorKind;
+    match err.kind() {
+        ErrorKind::ConnectionAborted | ErrorKind::ConnectionReset | ErrorKind::Interrupted => {
+            Duration::ZERO
+        }
+        _ => ACCEPT_RETRY_PAUSE,
+    }
+}
+
 /// A counting semaphore bounding concurrent handshake threads. Plain
 /// mutex + condvar: handshakes are rare and millisecond-scale, so permit
 /// churn is nowhere near a contention concern.
@@ -1359,8 +1384,12 @@ pub fn serve_device_tcp(
         .name(format!("alfredo-device-{addr}"))
         .spawn(move || {
             while !flag.load(std::sync::atomic::Ordering::SeqCst) {
-                let Ok(stream) = listener.accept_stream() else {
-                    break;
+                let stream = match listener.accept_stream() {
+                    Ok(stream) => stream,
+                    Err(err) => {
+                        std::thread::sleep(accept_retry_pause(&err));
+                        continue;
+                    }
                 };
                 if flag.load(std::sync::atomic::Ordering::SeqCst) {
                     break; // the stop() wake-up connection
@@ -1457,6 +1486,31 @@ mod tests {
         assert!(e.to_string().contains("a.B"));
         let e: EngineError = ServiceCallError::ServiceGone.into();
         assert!(e.to_string().contains("call"));
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn accept_errors_are_retried_with_a_pause_only_when_they_would_repeat() {
+        use std::io::Error;
+        // Linux errno values: what accept(2) really returns.
+        const EINTR: i32 = 4;
+        const ENOMEM: i32 = 12;
+        const ENFILE: i32 = 23;
+        const EMFILE: i32 = 24;
+        const ECONNABORTED: i32 = 103;
+        const ECONNRESET: i32 = 104;
+        const ENOBUFS: i32 = 105;
+        for errno in [ECONNABORTED, ECONNRESET, EINTR] {
+            let err = Error::from_raw_os_error(errno);
+            assert_eq!(accept_retry_pause(&err), Duration::ZERO, "{err}");
+        }
+        for errno in [EMFILE, ENFILE, ENOBUFS, ENOMEM] {
+            let err = Error::from_raw_os_error(errno);
+            assert_eq!(accept_retry_pause(&err), ACCEPT_RETRY_PAUSE, "{err}");
+        }
+        // An error nobody classified must not make the loop spin.
+        let err = Error::other("unclassified");
+        assert_eq!(accept_retry_pause(&err), ACCEPT_RETRY_PAUSE);
     }
 
     #[test]

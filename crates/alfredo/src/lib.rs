@@ -85,7 +85,7 @@ pub use retier::{
 pub use room::{
     presence_key, register_room_hub, room_clock_ms, room_update_topic, EndpointRoomSink,
     ReplicaSink, Room, RoomConfig, RoomDelta, RoomError, RoomHub, RoomHubService, RoomOp,
-    RoomReplica, RoomSink, RoomStats, RoomUpdate, PRESENCE_PREFIX, ROOMS_INTERFACE,
+    RoomReplica, RoomSink, RoomStats, RoomUpdate, SharedUpdate, PRESENCE_PREFIX, ROOMS_INTERFACE,
 };
 pub use security::{SecurityError, SecurityPolicy, TrustLevel};
 pub use session::{AlfredOSession, MigrationReport, EXPORT_STATE_METHOD, IMPORT_STATE_METHOD};

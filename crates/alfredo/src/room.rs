@@ -22,7 +22,11 @@
 //! * **Backpressured broadcast.** Fan-out rides the existing
 //!   [`ServeQueue`]: each member has one single-flight drain job,
 //!   submitted under the member's peer name so room traffic shares the
-//!   member's fairness lane with its RPCs. A slow or `Busy` member's
+//!   member's fairness lane with its RPCs. A publish costs one of each
+//!   thing however many members listen: one [`SharedUpdate`] that every
+//!   backlog holds by `Arc`, one [`ServeQueue::submit_batch`] transaction
+//!   for all drain jobs, and one wire encoding that every TCP member's
+//!   [`EndpointRoomSink`] sends a copy of. A slow or `Busy` member's
 //!   backlog is **coalesced** into one state-at-seq [`RoomUpdate::Snapshot`]
 //!   instead of growing without bound, while healthy members receive
 //!   every delta in order. A member that applied a snapshot at seq `S`
@@ -55,15 +59,16 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use alfredo_net::ByteWriter;
 use alfredo_osgi::events::SubscriptionId;
 use alfredo_osgi::{
     EventAdmin, Json, MethodSpec, ParamSpec, Properties, Service, ServiceCallError,
     ServiceInterfaceDesc, ToJson, TypeHint, Value,
 };
-use alfredo_rosgi::{HealthState, RemoteEndpoint, ServeQueue};
+use alfredo_rosgi::{HealthState, Message, RemoteEndpoint, ServeJob, ServeQueue};
 use alfredo_sync::Mutex;
 
 use alfredo_journal::Journal;
@@ -205,12 +210,59 @@ pub fn state_json(seq: u64, state: &BTreeMap<String, Value>) -> String {
     out
 }
 
+/// One update as the fan-out holds it: built once per publish (or per
+/// coalesced snapshot) and shared by `Arc` between the backlogs of every
+/// member it is owed to, together with its wire encoding once some
+/// member needed one (see [`Room::wire_frame`]).
+pub struct SharedUpdate {
+    update: RoomUpdate,
+    frame: OnceLock<Vec<u8>>,
+}
+
+impl SharedUpdate {
+    fn new(update: RoomUpdate) -> Arc<SharedUpdate> {
+        Arc::new(SharedUpdate {
+            update,
+            frame: OnceLock::new(),
+        })
+    }
+
+    fn snapshot(seq: u64, state: &BTreeMap<String, Value>) -> Arc<SharedUpdate> {
+        SharedUpdate::new(RoomUpdate::Snapshot {
+            seq,
+            state: state.clone(),
+        })
+    }
+
+    /// The update itself.
+    pub fn update(&self) -> &RoomUpdate {
+        &self.update
+    }
+}
+
+impl fmt::Debug for SharedUpdate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SharedUpdate")
+            .field("update", &self.update)
+            .field("encoded", &self.frame.get().is_some())
+            .finish()
+    }
+}
+
 /// Delivers room updates to one member. Return `false` when the sink's
 /// wire is gone — the room then drops the sink and holds the membership
 /// open (lease-bounded) for a rejoin.
 pub trait RoomSink: Send + Sync {
     /// Delivers one update for `room`.
     fn deliver(&self, room: &str, update: &RoomUpdate) -> bool;
+
+    /// Delivers one update as `room`'s fan-out shares it between members
+    /// — what a drain calls. The default forwards to [`RoomSink::deliver`];
+    /// a sink that puts updates on a wire overrides it to send
+    /// [`Room::wire_frame`], which is encoded once for all such sinks.
+    fn deliver_shared(&self, room: &Room, update: &SharedUpdate) -> bool {
+        self.deliver(room.name(), update.update())
+    }
 }
 
 /// A [`RoomSink`] that applies updates straight into a [`RoomReplica`] —
@@ -234,6 +286,10 @@ impl RoomSink for EndpointRoomSink {
         self.0
             .send_event(&room_update_topic(room), update.to_properties())
             .is_ok()
+    }
+
+    fn deliver_shared(&self, room: &Room, update: &SharedUpdate) -> bool {
+        self.0.send_event_frame(room.wire_frame(update)).is_ok()
     }
 }
 
@@ -309,7 +365,7 @@ struct MemberState {
     /// failed — the lease holds the seat open for a rejoin.
     sink: Option<Arc<dyn RoomSink>>,
     lease_deadline_ms: u64,
-    pending: VecDeque<RoomUpdate>,
+    pending: VecDeque<Arc<SharedUpdate>>,
     /// A drain job is queued or running; at most one per member, which is
     /// what keeps per-member delivery in order.
     in_flight: bool,
@@ -318,10 +374,39 @@ struct MemberState {
     kick_failed: bool,
 }
 
+impl MemberState {
+    /// Replaces the backlog with the state-at-`seq` snapshot. `shared` is
+    /// built by the first member coalesced in one pass and reused by the
+    /// rest, so a pass that coalesces nobody never copies the state.
+    fn coalesce(
+        &mut self,
+        shared: &mut Option<Arc<SharedUpdate>>,
+        seq: u64,
+        state: &BTreeMap<String, Value>,
+    ) {
+        let snapshot = shared.get_or_insert_with(|| SharedUpdate::snapshot(seq, state));
+        self.pending.clear();
+        self.pending.push_back(Arc::clone(snapshot));
+    }
+
+    /// A seat without a sink, leased until `lease_deadline_ms`.
+    fn seat(lease_deadline_ms: u64) -> MemberState {
+        MemberState {
+            sink: None,
+            lease_deadline_ms,
+            pending: VecDeque::new(),
+            in_flight: false,
+            kick_failed: false,
+        }
+    }
+}
+
 struct RoomInner {
     state: BTreeMap<String, Value>,
     seq: u64,
-    members: HashMap<String, MemberState>,
+    /// Keyed by `Arc<str>`: a kick hands the same allocation to the drain
+    /// job and to the serve queue's lane.
+    members: HashMap<Arc<str>, MemberState>,
 }
 
 /// Counter snapshot of a room's lifetime activity.
@@ -344,12 +429,17 @@ pub struct RoomStats {
     pub sink_failures: u64,
     /// Drain submissions the [`ServeQueue`] rejected with `Busy`.
     pub busy_kicks: u64,
+    /// Updates encoded into a wire frame ([`Room::wire_frame`]): at most
+    /// one per update, however many members were sent it.
+    pub wire_encodings: u64,
 }
 
 /// A device-hosted shared session: sequenced state, leased membership,
 /// and backpressured broadcast. See the module docs for the model.
 pub struct Room {
     name: String,
+    /// [`room_update_topic`] of `name`, formatted once.
+    topic: String,
     config: RoomConfig,
     inner: Mutex<RoomInner>,
     queue: Option<ServeQueue>,
@@ -362,6 +452,7 @@ pub struct Room {
     leaves: AtomicU64,
     sink_failures: AtomicU64,
     busy_kicks: AtomicU64,
+    wire_encodings: AtomicU64,
 }
 
 impl Room {
@@ -391,17 +482,12 @@ impl Room {
             // Re-armed seat: no sink until the phone rejoins; the fresh
             // lease gives it a full TTL to do so before eviction.
             members.insert(
-                member.clone(),
-                MemberState {
-                    sink: None,
-                    lease_deadline_ms: now_ms + config.lease_ttl_ms,
-                    pending: VecDeque::new(),
-                    in_flight: false,
-                    kick_failed: false,
-                },
+                Arc::from(member.as_str()),
+                MemberState::seat(now_ms + config.lease_ttl_ms),
             );
         }
         Arc::new(Room {
+            topic: room_update_topic(&config.name),
             name: config.name.clone(),
             config,
             inner: Mutex::new(RoomInner {
@@ -419,6 +505,7 @@ impl Room {
             leaves: AtomicU64::new(0),
             sink_failures: AtomicU64::new(0),
             busy_kicks: AtomicU64::new(0),
+            wire_encodings: AtomicU64::new(0),
         })
     }
 
@@ -452,7 +539,7 @@ impl Room {
     /// Current member names, sorted.
     pub fn members(&self) -> Vec<String> {
         let inner = self.inner.lock();
-        let mut names: Vec<String> = inner.members.keys().cloned().collect();
+        let mut names: Vec<String> = inner.members.keys().map(|m| m.to_string()).collect();
         names.sort();
         names
     }
@@ -474,7 +561,22 @@ impl Room {
             leaves: self.leaves.load(Ordering::Relaxed),
             sink_failures: self.sink_failures.load(Ordering::Relaxed),
             busy_kicks: self.busy_kicks.load(Ordering::Relaxed),
+            wire_encodings: self.wire_encodings.load(Ordering::Relaxed),
         }
+    }
+
+    /// `update` as the `RemoteEvent` frame on this room's update topic —
+    /// byte for byte what [`RemoteEndpoint::send_event`] would encode
+    /// from [`RoomUpdate::to_properties`]. Encoded by the first caller
+    /// and cached in the update, so the encode work of a delta does not
+    /// grow with the number of TCP members.
+    pub fn wire_frame<'u>(&self, update: &'u SharedUpdate) -> &'u [u8] {
+        update.frame.get_or_init(|| {
+            self.wire_encodings.fetch_add(1, Ordering::Relaxed);
+            let mut w = ByteWriter::new();
+            Message::encode_remote_event(&mut w, &self.topic, &update.update.to_properties());
+            w.into_bytes()
+        })
     }
 
     /// Joins (or rejoins) the room. A first join appends a
@@ -488,43 +590,37 @@ impl Room {
         let seq = {
             let mut inner = self.inner.lock();
             let lease = now_ms + self.config.lease_ttl_ms;
-            if let Some(m) = inner.members.get_mut(member) {
-                // Rejoin: replace the sink, drop any stale backlog, and
-                // restart the member from a fresh snapshot.
-                m.sink = Some(sink);
-                m.lease_deadline_ms = lease;
-                m.pending.clear();
-            } else {
-                first_join = true;
-                // Presence is sequenced state: existing members observe
-                // the join as an ordinary delta.
-                self.apply_delta_locked(
-                    &mut inner,
-                    member,
-                    &presence_key(member),
-                    RoomOp::Put(Value::Bool(true)),
-                    &mut kicks,
-                );
-                inner.members.insert(
-                    member.to_owned(),
-                    MemberState {
-                        sink: Some(sink),
-                        lease_deadline_ms: lease,
-                        pending: VecDeque::new(),
-                        in_flight: false,
-                        kick_failed: false,
-                    },
-                );
-            }
-            let snapshot = RoomUpdate::Snapshot {
-                seq: inner.seq,
-                state: inner.state.clone(),
+            let name = match inner.members.get_key_value(member) {
+                Some((name, _)) => Arc::clone(name),
+                None => {
+                    first_join = true;
+                    // Presence is sequenced state: existing members observe
+                    // the join as an ordinary delta.
+                    self.apply_delta_locked(
+                        &mut inner,
+                        member,
+                        &presence_key(member),
+                        RoomOp::Put(Value::Bool(true)),
+                        &mut kicks,
+                    );
+                    let name: Arc<str> = Arc::from(member);
+                    inner
+                        .members
+                        .insert(Arc::clone(&name), MemberState::seat(lease));
+                    name
+                }
             };
-            let m = inner.members.get_mut(member).expect("member just inserted");
+            let snapshot = SharedUpdate::snapshot(inner.seq, &inner.state);
+            let m = inner.members.get_mut(&name).expect("seated above");
+            // A rejoin replaces the sink and drops any stale backlog; either
+            // way the member starts from a fresh snapshot.
+            m.sink = Some(sink);
+            m.lease_deadline_ms = lease;
+            m.pending.clear();
             m.pending.push_back(snapshot);
             if !m.in_flight {
                 m.in_flight = true;
-                kicks.push(member.to_owned());
+                kicks.push(name);
             }
             inner.seq
         };
@@ -560,13 +656,13 @@ impl Room {
     /// any drain submissions the queue rejected earlier. Returns how
     /// many members were evicted.
     pub fn tick(self: &Arc<Self>, now_ms: u64) -> usize {
-        let expired: Vec<String> = {
+        let expired: Vec<Arc<str>> = {
             let inner = self.inner.lock();
             inner
                 .members
                 .iter()
                 .filter(|(_, m)| m.lease_deadline_ms < now_ms)
-                .map(|(name, _)| name.clone())
+                .map(|(name, _)| Arc::clone(name))
                 .collect()
         };
         for member in &expired {
@@ -576,14 +672,14 @@ impl Room {
         }
         // Re-kick members whose last drain submission bounced off a full
         // serve lane.
-        let retries: Vec<String> = {
+        let retries: Vec<Arc<str>> = {
             let mut inner = self.inner.lock();
             let mut retries = Vec::new();
             for (name, m) in inner.members.iter_mut() {
                 if m.kick_failed && !m.in_flight && !m.pending.is_empty() {
                     m.kick_failed = false;
                     m.in_flight = true;
-                    retries.push(name.clone());
+                    retries.push(Arc::clone(name));
                 }
             }
             retries
@@ -678,16 +774,17 @@ impl Room {
     }
 
     /// Assigns the next seq, applies the op to state, journals the delta
-    /// (inside the lock: journal order == seq order), and enqueues it on
-    /// every sinked member — coalescing any backlog that overflows.
-    /// Members needing a (re)scheduled drain are pushed into `kicks`.
+    /// (inside the lock: journal order == seq order), and enqueues **one**
+    /// shared update on every sinked member — coalescing any backlog that
+    /// overflows. Members needing a (re)scheduled drain are pushed into
+    /// `kicks`.
     fn apply_delta_locked(
         &self,
         inner: &mut RoomInner,
         member: &str,
         key: &str,
         op: RoomOp,
-        kicks: &mut Vec<String>,
+        kicks: &mut Vec<Arc<str>>,
     ) -> u64 {
         inner.seq += 1;
         let seq = inner.seq;
@@ -700,37 +797,34 @@ impl Room {
             }
         }
         self.journal_delta(seq, member, key, &op);
-        let delta = RoomDelta {
+        let update = SharedUpdate::new(RoomUpdate::Delta(RoomDelta {
             seq,
             member: member.to_owned(),
             key: key.to_owned(),
             op,
-        };
+        }));
         // Fan-out enqueue under the same lock hold: every member's queue
         // receives deltas in seq order.
         let buffer_cap = self.config.member_buffer;
-        let state_snapshot: BTreeMap<String, Value> = inner.state.clone();
+        let mut snapshot = None;
         let mut coalesced = 0u64;
+        kicks.reserve(inner.members.len());
         for (name, m) in inner.members.iter_mut() {
             if m.sink.is_none() {
                 continue; // seat awaiting rejoin: nothing to deliver to
             }
-            m.pending.push_back(RoomUpdate::Delta(delta.clone()));
+            m.pending.push_back(Arc::clone(&update));
             if m.pending.len() > buffer_cap {
                 // The member fell behind: collapse the whole backlog into
                 // one state-at-seq snapshot. Deltas published later queue
                 // behind it with seq > this seq, so the member
                 // reconstructs identical state with no gap.
-                m.pending.clear();
-                m.pending.push_back(RoomUpdate::Snapshot {
-                    seq,
-                    state: state_snapshot.clone(),
-                });
+                m.coalesce(&mut snapshot, seq, &inner.state);
                 coalesced += 1;
             }
             if !m.in_flight {
                 m.in_flight = true;
-                kicks.push(name.clone());
+                kicks.push(Arc::clone(name));
             }
         }
         if coalesced > 0 {
@@ -773,33 +867,52 @@ impl Room {
         });
     }
 
-    /// Schedules one drain job per kicked member: through the serve queue
-    /// under the member's peer name when the room has one, inline
-    /// otherwise. A `Busy` rejection coalesces the member's backlog into
-    /// a snapshot and defers the kick to the next publish or tick.
-    fn kick(self: &Arc<Self>, members: Vec<String>) {
-        for member in members {
-            match &self.queue {
-                Some(q) => {
-                    let room = Arc::clone(self);
-                    let name = member.clone();
-                    if !q.submit(&member, Box::new(move || room.drain(&name))) {
-                        self.busy_kicks.fetch_add(1, Ordering::Relaxed);
-                        let mut inner = self.inner.lock();
-                        let seq = inner.seq;
-                        let state = inner.state.clone();
-                        if let Some(m) = inner.members.get_mut(&member) {
-                            m.in_flight = false;
-                            m.kick_failed = true;
-                            if m.pending.len() > 1 {
-                                m.pending.clear();
-                                m.pending.push_back(RoomUpdate::Snapshot { seq, state });
-                                self.coalesced_snapshots.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-                None => self.drain(&member),
+    /// Schedules one drain job per kicked member: all of them in one
+    /// [`ServeQueue::submit_batch`] transaction, each under its member's
+    /// peer name, when the room has a queue; inline otherwise. A `Busy`
+    /// rejection coalesces the member's backlog into a snapshot (one,
+    /// shared by every member the batch bounced) and defers the kick to
+    /// the next publish or tick.
+    fn kick(self: &Arc<Self>, members: Vec<Arc<str>>) {
+        let Some(queue) = &self.queue else {
+            for member in &members {
+                self.drain(member);
+            }
+            return;
+        };
+        if members.is_empty() {
+            return;
+        }
+        let jobs = members
+            .iter()
+            .map(|member| {
+                let (room, name) = (Arc::clone(self), Arc::clone(member));
+                let job: ServeJob = Box::new(move || room.drain(&name));
+                (Arc::clone(member), job)
+            })
+            .collect();
+        let rejected = queue.submit_batch(jobs);
+        if rejected.is_empty() {
+            return;
+        }
+        self.busy_kicks
+            .fetch_add(rejected.len() as u64, Ordering::Relaxed);
+        let mut inner = self.inner.lock();
+        let RoomInner {
+            state,
+            seq,
+            members: seats,
+        } = &mut *inner;
+        let mut snapshot = None;
+        for i in rejected {
+            let Some(m) = seats.get_mut(&members[i]) else {
+                continue;
+            };
+            m.in_flight = false;
+            m.kick_failed = true;
+            if m.pending.len() > 1 {
+                m.coalesce(&mut snapshot, *seq, state);
+                self.coalesced_snapshots.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -827,7 +940,7 @@ impl Room {
                 };
                 (update, sink)
             };
-            if sink.deliver(&self.name, &update) {
+            if sink.deliver_shared(self, &update) {
                 self.delivered.fetch_add(1, Ordering::Relaxed);
             } else {
                 self.sink_failures.fetch_add(1, Ordering::Relaxed);
@@ -1500,6 +1613,81 @@ mod tests {
         room.drain("slow");
         assert_eq!(slow.replica.state_json(), room.state_json());
         assert_eq!(slow.replica.gaps(), 0);
+    }
+
+    #[test]
+    fn members_that_overflow_together_share_one_snapshot_and_fast_ones_get_none() {
+        let room = Room::new(RoomConfig::new("r").with_member_buffer(4));
+        let fast: Vec<_> = (0..3).map(|_| RecordingSink::new("r")).collect();
+        for (i, sink) in fast.iter().enumerate() {
+            room.join(&format!("fast{i}"), sink.clone(), 0);
+        }
+        let plugged = [RecordingSink::new("r"), RecordingSink::new("r")];
+        let pin = |name: &str, in_flight: bool| {
+            room.inner.lock().members.get_mut(name).unwrap().in_flight = in_flight;
+        };
+        for (i, sink) in plugged.iter().enumerate() {
+            room.join(&format!("plugged{i}"), sink.clone(), 0);
+        }
+        for i in 0..plugged.len() {
+            // What a blocked serve worker produces: publishes only enqueue.
+            pin(&format!("plugged{i}"), true);
+        }
+        // Within the buffer nobody is coalesced, and the backlogs of the
+        // two plugged members hold the very same allocations.
+        for i in 0..4 {
+            room.publish("fast0", format!("k{i}"), Value::I64(i))
+                .unwrap();
+        }
+        assert_eq!(room.stats().coalesced_snapshots, 0);
+        {
+            let inner = room.inner.lock();
+            let (a, b) = (&inner.members["plugged0"], &inner.members["plugged1"]);
+            assert_eq!(a.pending.len(), 4);
+            assert!(a
+                .pending
+                .iter()
+                .zip(&b.pending)
+                .all(|(x, y)| Arc::ptr_eq(x, y)));
+        }
+        // The fifth overflows both at once: one snapshot, held by both.
+        let seq = room.publish("fast0", "k4", Value::I64(4)).unwrap();
+        assert_eq!(room.stats().coalesced_snapshots, 2);
+        {
+            let inner = room.inner.lock();
+            let (a, b) = (&inner.members["plugged0"], &inner.members["plugged1"]);
+            assert_eq!((a.pending.len(), b.pending.len()), (1, 1));
+            assert!(Arc::ptr_eq(&a.pending[0], &b.pending[0]));
+            assert!(matches!(
+                a.pending[0].update(),
+                RoomUpdate::Snapshot { seq: at, .. } if *at == seq
+            ));
+        }
+        // Deltas behind the snapshot, then the plugs come out.
+        for i in 5..8 {
+            room.publish("fast1", format!("k{i}"), Value::I64(i))
+                .unwrap();
+        }
+        for i in 0..plugged.len() {
+            pin(&format!("plugged{i}"), false);
+            room.drain(&format!("plugged{i}"));
+        }
+        let expected = room.state_json();
+        for sink in fast.iter().chain(&plugged) {
+            assert_eq!(sink.replica.state_json(), expected);
+            assert_eq!(sink.replica.gaps(), 0);
+            assert_eq!(sink.replica.duplicates(), 0);
+        }
+        for sink in &fast {
+            assert_eq!(sink.replica.snapshots_applied(), 1, "the join's only");
+        }
+        for (i, sink) in plugged.iter().enumerate() {
+            assert_eq!(sink.replica.snapshots_applied(), 2, "and the shared one");
+            // The three behind the snapshot; the five it covers were
+            // skipped. (plugged0 also saw plugged1 arrive.)
+            assert_eq!(sink.replica.deltas_applied(), 3 + u64::from(i == 0));
+        }
+        assert_eq!(room.stats().wire_encodings, 0, "nobody is on a wire");
     }
 
     #[test]

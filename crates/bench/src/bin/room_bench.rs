@@ -15,8 +15,10 @@
 //!   fan-out latency (publish → sink delivery) is sampled across all
 //!   members. Guards: at every N the members converge byte-identically
 //!   to the room (zero lost deltas — the 32-member case is the CI
-//!   headline), no member ever observes a gap or duplicate, and the
-//!   fan-out p95 stays under a generous CI budget.
+//!   headline), no member ever observes a gap or duplicate, the
+//!   fan-out p95 stays under a generous CI budget, and — every member
+//!   asking for the delta's wire frame, as a TCP member's sink does —
+//!   the room encodes each delta at most once, whatever N is.
 //! * **coalesce** — three fast members plus one deliberately slow one
 //!   (each delivery sleeps) behind a small member buffer. A burst of
 //!   deltas overruns the slow member's buffer. Guards: the room
@@ -31,7 +33,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use alfredo_core::{Room, RoomConfig, RoomReplica, RoomSink, RoomUpdate};
+use alfredo_core::{Room, RoomConfig, RoomReplica, RoomSink, RoomUpdate, SharedUpdate};
 use alfredo_osgi::{Json, Value};
 use alfredo_rosgi::{ServeQueue, ServeQueueConfig};
 use alfredo_sync::Mutex;
@@ -84,6 +86,12 @@ impl RoomSink for TimedSink {
         self.replica.apply(update);
         true
     }
+
+    fn deliver_shared(&self, room: &Room, update: &SharedUpdate) -> bool {
+        // What an `EndpointRoomSink` asks of the room before it sends.
+        std::hint::black_box(room.wire_frame(update));
+        self.deliver(room.name(), update.update())
+    }
 }
 
 fn percentile(samples: &mut [Duration], p: f64) -> Duration {
@@ -117,6 +125,8 @@ struct FanoutResult {
     p95: Duration,
     delivered: u64,
     coalesced: u64,
+    /// Wire encodings per published delta while the events streamed.
+    encodings_per_delta: f64,
 }
 
 /// One publisher, N members, `events` sequenced deltas through the
@@ -144,6 +154,8 @@ fn run_fanout(n: usize, events: u64) -> FanoutResult {
             sink
         })
         .collect();
+    wait_converged(&room, &members, "fanout joins");
+    let before = room.stats();
     for i in 0..events {
         publish_times.lock().push(Instant::now());
         room.publish("m0", format!("k{}", i % 64), Value::I64(i as i64))
@@ -165,6 +177,15 @@ fn run_fanout(n: usize, events: u64) -> FanoutResult {
     }
     let stats = room.stats();
     queue.shutdown();
+    // Every one of the N members asked for every delta's frame; a
+    // coalesced snapshot is an update of its own.
+    let encodings = stats.wire_encodings - before.wire_encodings;
+    let snapshots = stats.coalesced_snapshots - before.coalesced_snapshots;
+    assert!(
+        encodings <= events + snapshots,
+        "{encodings} wire encodings for {events} deltas at {n} members"
+    );
+    let encodings_per_delta = encodings.saturating_sub(snapshots) as f64 / events as f64;
     let p50 = percentile(&mut all, 0.50);
     let p95 = percentile(&mut all, 0.95);
     assert!(
@@ -173,7 +194,7 @@ fn run_fanout(n: usize, events: u64) -> FanoutResult {
     );
     println!(
         "fanout n={n:>2}: {events} deltas, p50 {p50:?}, p95 {p95:?}, \
-         delivered {}, coalesced {}",
+         delivered {}, coalesced {}, {encodings_per_delta:.2} wire encodings per delta",
         stats.delivered, stats.coalesced_snapshots
     );
     FanoutResult {
@@ -183,6 +204,7 @@ fn run_fanout(n: usize, events: u64) -> FanoutResult {
         p95,
         delivered: stats.delivered,
         coalesced: stats.coalesced_snapshots,
+        encodings_per_delta,
     }
 }
 
@@ -310,7 +332,8 @@ fn main() {
 
     println!(
         "guards: zero lost deltas at every N (incl. 32), zero gaps/dups, fan-out p95 <= \
-         {FANOUT_P95_BUDGET:?}, coalescing engaged without degrading fast members — all hold"
+         {FANOUT_P95_BUDGET:?}, <= 1 wire encoding per delta at every N, coalescing engaged \
+         without degrading fast members — all hold"
     );
 
     let doc = Json::obj(vec![
@@ -330,6 +353,7 @@ fn main() {
                     ),
                     ("delivered", Json::I64(r.delivered as i64)),
                     ("coalesced_snapshots", Json::I64(r.coalesced as i64)),
+                    ("wire_encodings_per_delta", Json::F64(r.encodings_per_delta)),
                     ("lost_deltas", Json::I64(0)),
                 ])
             })),

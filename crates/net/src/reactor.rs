@@ -498,8 +498,10 @@ struct Inbox {
 }
 
 /// One reactor-managed connection. Shared by the owning transport and the
-/// poller's connection map; the map entry is removed at teardown, which
-/// breaks the only reference cycle.
+/// poller's connection map; the map entry is removed at teardown. A sink
+/// usually holds the transport that owns this connection (an endpoint's
+/// sink keeps its wire), which is a second cycle: [`deliver_fin`] breaks
+/// it by dropping the sink once the stream has ended.
 pub(crate) struct Conn {
     token: u64,
     stream: TcpStream,
@@ -651,7 +653,8 @@ impl Conn {
     }
 
     /// Switches to push-mode delivery; queued frames drain into the sink
-    /// first so ordering is preserved across the switch.
+    /// first so ordering is preserved across the switch. A sink installed
+    /// after the stream ended is told so and not kept (see [`deliver_fin`]).
     pub(crate) fn set_sink(&self, mut new_sink: Box<dyn FrameSink>) {
         let mut sink = self.sink.lock();
         let (drained, fin) = {
@@ -662,18 +665,20 @@ impl Conn {
         for f in drained {
             new_sink.on_frame(f);
         }
-        if fin {
-            let deliver = {
-                let mut inbox = self.inbox.lock();
-                let first = !inbox.fin_delivered;
-                inbox.fin_delivered = true;
-                first
-            };
-            if deliver {
-                new_sink.on_close();
-            }
+        if !fin {
+            *sink = Some(new_sink);
+            return;
         }
-        *sink = Some(new_sink);
+        let deliver = {
+            let mut inbox = self.inbox.lock();
+            let first = !inbox.fin_delivered;
+            inbox.fin_delivered = true;
+            first
+        };
+        drop(sink);
+        if deliver {
+            new_sink.on_close();
+        }
     }
 
     /// Local graceful close: new sends fail immediately, the poller
@@ -805,7 +810,11 @@ impl Poller {
         let mut events: Vec<Event> = Vec::with_capacity(256);
         let mut frames: Vec<Vec<u8>> = Vec::new();
         let mut poll_set: Vec<(i32, u64, bool)> = Vec::new();
-        loop {
+        // `stop` is read before every wait, not after it: a doorbell ring
+        // that found a wake-up already pending writes no byte, so a poller
+        // that had checked the flag on its way out of the previous wait
+        // would otherwise sleep through the ring that announced it.
+        while !self.stop.load(Ordering::SeqCst) {
             poll_set.clear();
             if matches!(self.selector, Selector::Poll) {
                 poll_set.push((self.bell_rx.as_raw_fd(), DOORBELL_TOKEN, false));
@@ -815,9 +824,6 @@ impl Poller {
                 }
             }
             self.selector.wait(&mut events, &poll_set);
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
             for &(token, readable, writable) in &events {
                 if token == DOORBELL_TOKEN {
                     self.drain_bell();
@@ -966,6 +972,13 @@ impl Poller {
                     for f in frames.drain(..) {
                         deliver_frame(conn, f);
                     }
+                    if n < scratch.len() {
+                        // A short read emptied the socket buffer; asking
+                        // again would only cost an EAGAIN. Both selectors
+                        // are level-triggered, so bytes (or the EOF) that
+                        // arrive from here on are reported again.
+                        return;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -1017,7 +1030,10 @@ fn deliver_frame(conn: &Conn, frame: Vec<u8>) {
 }
 
 /// Marks end-of-stream and fires `on_close` exactly once if a sink is
-/// installed (otherwise pull-mode readers observe `fin`).
+/// installed (otherwise pull-mode readers observe `fin`), then lets the
+/// sink go: nothing more will be delivered, and a sink that holds this
+/// connection's transport would otherwise keep the connection, its
+/// socket and itself alive for good.
 fn deliver_fin(conn: &Conn) {
     let mut sink = conn.sink.lock();
     let deliver = {
@@ -1036,6 +1052,11 @@ fn deliver_fin(conn: &Conn) {
             s.on_close();
         }
     }
+    let spent = sink.take();
+    // Dropped outside the sink lock: the sink's own drop may close the
+    // transport, which must not find this lock held.
+    drop(sink);
+    drop(spent);
 }
 
 // ---------------------------------------------------------------------------

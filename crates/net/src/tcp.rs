@@ -346,6 +346,89 @@ mod tests {
         assert_eq!(server.recv().unwrap_err(), TransportError::Closed);
     }
 
+    /// Two transports on a private reactor with the given backend.
+    fn pair_on(reactor: &Reactor) -> (TcpTransport, TcpTransport) {
+        let listener = TcpNetListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr();
+        let accept = std::thread::spawn(move || listener.accept_stream().unwrap());
+        let client = TcpStream::connect(addr).unwrap();
+        (
+            TcpTransport::from_stream_on(reactor, client).unwrap(),
+            TcpTransport::from_stream_on(reactor, accept.join().unwrap()).unwrap(),
+        )
+    }
+
+    #[test]
+    fn frame_ending_on_the_scratch_boundary_is_followed_by_more() {
+        // Prefix + body fill the poller's 64 KiB read buffer exactly, so
+        // the read that completes the frame is a full one and the poller
+        // must go back for what follows; the frames behind it and the EOF
+        // come after short reads and must be reported again.
+        let backends = [
+            #[cfg(target_os = "linux")]
+            crate::reactor::Backend::Epoll,
+            crate::reactor::Backend::Poll,
+        ];
+        for backend in backends {
+            let reactor = Reactor::new(1, backend).unwrap();
+            let (client, server) = pair_on(&reactor);
+            let exact: Vec<u8> = (0..64 * 1024 - 4).map(|i| (i % 251) as u8).collect();
+            for round in 0..4u8 {
+                client.send(exact.clone()).unwrap();
+                client.send(vec![round]).unwrap();
+                assert_eq!(server.recv().unwrap(), exact, "{backend:?}");
+                assert_eq!(server.recv().unwrap(), vec![round], "{backend:?}");
+            }
+            client.send(exact.clone()).unwrap();
+            client.close();
+            assert_eq!(server.recv().unwrap(), exact, "{backend:?}");
+            assert_eq!(server.recv().unwrap_err(), TransportError::Closed);
+            assert_eq!(server.close_reason(), CloseReason::Peer);
+        }
+    }
+
+    #[test]
+    fn ended_connection_lets_go_of_a_sink_that_holds_its_transport() {
+        // What an endpoint's sink does: it keeps the wire it reads from.
+        // Once the stream has ended the connection must drop the sink, or
+        // the two keep each other (and the socket) alive for good.
+        struct Holding {
+            _wire: Arc<TcpTransport>,
+            closed: mpsc::Sender<()>,
+        }
+        impl FrameSink for Holding {
+            fn on_frame(&mut self, _frame: Vec<u8>) {}
+            fn on_close(&mut self) {
+                let _ = self.closed.send(());
+            }
+        }
+        let (closed_tx, closed_rx) = mpsc::channel();
+        let mut freed = Vec::new();
+        for _ in 0..8 {
+            let (client, server) = pair();
+            for wire in [Arc::new(client), Arc::new(server)] {
+                freed.push(Arc::downgrade(&wire.conn));
+                assert!(wire.set_sink(Box::new(Holding {
+                    _wire: Arc::clone(&wire),
+                    closed: closed_tx.clone(),
+                })));
+                wire.close();
+            }
+        }
+        for _ in 0..freed.len() {
+            closed_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        }
+        // `on_close` runs just before the poller lets go of its own handle.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while freed.iter().any(|conn| conn.upgrade().is_some()) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a closed connection is still referenced"
+            );
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn write_backpressure_blocks_then_drains() {
         let (client, server) = pair();

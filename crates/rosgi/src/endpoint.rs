@@ -1249,6 +1249,21 @@ impl RemoteEndpoint {
         })
     }
 
+    /// Sends an event whose frame the caller already encoded with
+    /// [`Message::encode_remote_event`] — what lets a broadcaster encode
+    /// once and send the same bytes to every peer. The bytes are copied
+    /// into a pooled buffer; counted in `frames_sent`/`bytes_sent` like
+    /// any other frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns a transport error if the connection is closed.
+    pub fn send_event_frame(&self, frame: &[u8]) -> Result<(), RosgiError> {
+        let mut buf = self.inner.pool.take();
+        buf.extend_from_slice(frame);
+        self.inner.send_frame(buf)
+    }
+
     /// Opens a stream to the peer and sends `data` in flow-controlled
     /// chunks; blocks until fully sent.
     ///

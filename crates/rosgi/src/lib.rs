@@ -120,6 +120,6 @@ pub use health::{
 pub use lease::{recover_lease_grants, LeaseGrant, RemoteServiceInfo};
 pub use message::{BorrowedInvoke, Message};
 pub use proxy::{RemoteServiceProxy, SmartProxySpec};
-pub use serve::{ServeQueue, ServeQueueConfig, ServeQueueStats, SubmitOutcome};
+pub use serve::{ServeJob, ServeQueue, ServeQueueConfig, ServeQueueStats, SubmitOutcome};
 pub use stream::{StreamId, StreamReceiver};
 pub use types::{TypeDescriptor, TypeRegistry};

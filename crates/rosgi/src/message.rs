@@ -322,9 +322,7 @@ impl Message {
             } => Message::encode_invoke(w, *call_id, interface, method, args, None, None),
             Message::Response { call_id, result } => Message::encode_response(w, *call_id, result),
             Message::RemoteEvent { topic, properties } => {
-                w.put_u8(TAG_REMOTE_EVENT);
-                w.put_str(topic);
-                encode_properties(w, properties);
+                Message::encode_remote_event(w, topic, properties);
             }
             Message::StreamOpen { stream, name } => {
                 w.put_u8(TAG_STREAM_OPEN);
@@ -394,6 +392,14 @@ impl Message {
             w.put_u8(DEADLINE_MARKER);
             w.put_varint(ms);
         }
+    }
+
+    /// Encodes a `RemoteEvent` frame directly from a borrowed topic and
+    /// properties (no owned [`Message`] needed).
+    pub fn encode_remote_event(w: &mut ByteWriter, topic: &str, properties: &Properties) {
+        w.put_u8(TAG_REMOTE_EVENT);
+        w.put_str(topic);
+        encode_properties(w, properties);
     }
 
     /// Encodes a `Response` frame directly from a borrowed result.

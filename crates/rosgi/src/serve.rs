@@ -32,7 +32,7 @@
 //! otherwise stay parked until process exit.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use alfredo_sync::{Condvar, Mutex};
 
 /// A queued unit of serving work (decode → invoke → respond).
-type ServeJob = Box<dyn FnOnce() + Send>;
+pub type ServeJob = Box<dyn FnOnce() + Send>;
 
 /// One queued entry: the job, the caller's absolute deadline (when
 /// propagated), and the responder to run instead of the job if the
@@ -128,20 +128,53 @@ pub struct ServeQueueStats {
 }
 
 struct QueueState {
-    /// Pending jobs per peer.
-    queues: HashMap<String, VecDeque<Entry>>,
+    /// Pending jobs per peer. Lanes are keyed by `Arc<str>` so the ring
+    /// shares the key and a caller that already owns one (the room
+    /// fan-out) enqueues without allocating.
+    queues: HashMap<Arc<str>, VecDeque<Entry>>,
     /// Round-robin ring of peers with at least one pending job. A peer
     /// appears at most once; workers pop from the front and re-append
     /// the peer only if it still has work — one job per peer per turn.
-    ring: VecDeque<String>,
+    ring: VecDeque<Arc<str>>,
     total: usize,
+    /// Set by [`ServeQueue::shutdown`] under the lock, which is what lets
+    /// workers park without a timeout: a worker checks it under the same
+    /// lock hold in which it decides to wait, so the wake cannot be lost.
+    shutdown: bool,
+}
+
+impl QueueState {
+    /// Appends `entry` to `peer`'s lane, unless the queue is shut down or
+    /// the whole queue or the lane is at its depth bound: then the entry
+    /// comes back, for the caller to drop once it has let go of the lock
+    /// (a job owns what it captured, and that may be the last handle on
+    /// anything).
+    fn enqueue(
+        &mut self,
+        config: &ServeQueueConfig,
+        peer: Arc<str>,
+        entry: Entry,
+    ) -> Result<(), Entry> {
+        if self.shutdown || self.total >= config.total_depth {
+            return Err(entry);
+        }
+        let lane = self.queues.entry(Arc::clone(&peer)).or_default();
+        if lane.len() >= config.per_peer_depth {
+            return Err(entry);
+        }
+        if lane.is_empty() {
+            self.ring.push_back(peer);
+        }
+        lane.push_back(entry);
+        self.total += 1;
+        Ok(())
+    }
 }
 
 struct QueueInner {
     config: ServeQueueConfig,
     state: Mutex<QueueState>,
     ready: Condvar,
-    shutdown: AtomicBool,
     submitted: AtomicU64,
     rejected: AtomicU64,
     served: AtomicU64,
@@ -170,9 +203,9 @@ impl ServeQueue {
                 queues: HashMap::new(),
                 ring: VecDeque::new(),
                 total: 0,
+                shutdown: false,
             }),
             ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             served: AtomicU64::new(0),
@@ -229,55 +262,81 @@ impl ServeQueue {
         on_expired: Option<ServeJob>,
     ) -> SubmitOutcome {
         let inner = &self.inner;
-        if inner.shutdown.load(Ordering::SeqCst) {
-            inner.rejected.fetch_add(1, Ordering::Relaxed);
-            return SubmitOutcome::Busy;
-        }
-        if let Some(deadline) = deadline {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                inner.shed_predicted.fetch_add(1, Ordering::Relaxed);
-                return SubmitOutcome::Shed;
-            }
-            let ewma = inner.ewma_service_nanos.load(Ordering::Relaxed);
-            if ewma > 0 {
-                // Entries ahead of this one, spread across the workers,
-                // each costing about one EWMA service time.
-                let queued_ahead = inner.state.lock().total as u64;
-                let per_worker = queued_ahead / inner.config.workers.max(1) as u64 + 1;
-                let estimated_wait = Duration::from_nanos(ewma.saturating_mul(per_worker));
-                if estimated_wait > remaining {
-                    inner.shed_predicted.fetch_add(1, Ordering::Relaxed);
-                    return SubmitOutcome::Shed;
-                }
-            }
-        }
-        let mut state = inner.state.lock();
-        if state.total >= inner.config.total_depth {
-            drop(state);
-            inner.rejected.fetch_add(1, Ordering::Relaxed);
-            return SubmitOutcome::Busy;
-        }
-        let queue = state.queues.entry(peer.to_owned()).or_default();
-        if queue.len() >= inner.config.per_peer_depth {
-            drop(state);
-            inner.rejected.fetch_add(1, Ordering::Relaxed);
-            return SubmitOutcome::Busy;
-        }
-        let was_empty = queue.is_empty();
-        queue.push_back(Entry {
+        let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        let entry = Entry {
             job,
             deadline,
             on_expired,
-        });
-        state.total += 1;
-        if was_empty {
-            state.ring.push_back(peer.to_owned());
+        };
+        // One lock hold covers the shutdown check, the wait prediction
+        // and the enqueue.
+        let mut state = inner.state.lock();
+        if state.shutdown {
+            drop(state);
+            inner.rejected.fetch_add(1, Ordering::Relaxed);
+            return SubmitOutcome::Busy;
         }
+        if let Some(remaining) = remaining {
+            // Entries ahead of this one, spread across the workers, each
+            // costing about one EWMA service time (0 = no sample yet).
+            let ewma = inner.ewma_service_nanos.load(Ordering::Relaxed);
+            let per_worker = state.total as u64 / inner.config.workers.max(1) as u64 + 1;
+            let estimated_wait = Duration::from_nanos(ewma.saturating_mul(per_worker));
+            if remaining.is_zero() || estimated_wait > remaining {
+                drop(state);
+                inner.shed_predicted.fetch_add(1, Ordering::Relaxed);
+                return SubmitOutcome::Shed;
+            }
+        }
+        let outcome = state.enqueue(&inner.config, Arc::from(peer), entry);
         drop(state);
+        if outcome.is_err() {
+            inner.rejected.fetch_add(1, Ordering::Relaxed);
+            return SubmitOutcome::Busy;
+        }
         inner.submitted.fetch_add(1, Ordering::Relaxed);
         inner.ready.notify_one();
         SubmitOutcome::Accepted
+    }
+
+    /// Enqueues several jobs, each under its own peer lane, in **one**
+    /// queue transaction: the state lock is taken once and the workers
+    /// are woken once at the end. Every job is admitted or rejected
+    /// exactly as [`ServeQueue::submit`] would have decided it at that
+    /// point of the batch (shutdown, total depth, then the peer's depth;
+    /// lanes join the round-robin ring in batch order), and the indices
+    /// of the rejected jobs are returned — empty when all were accepted.
+    /// Rejected jobs are dropped without running.
+    pub fn submit_batch(&self, jobs: Vec<(Arc<str>, ServeJob)>) -> Vec<usize> {
+        let inner = &self.inner;
+        let offered = jobs.len();
+        let mut rejected = Vec::new();
+        let mut bounced = Vec::new();
+        let mut state = inner.state.lock();
+        for (i, (peer, job)) in jobs.into_iter().enumerate() {
+            let entry = Entry {
+                job,
+                deadline: None,
+                on_expired: None,
+            };
+            if let Err(entry) = state.enqueue(&inner.config, peer, entry) {
+                rejected.push(i);
+                bounced.push(entry);
+            }
+        }
+        drop(state);
+        drop(bounced);
+        let accepted = offered - rejected.len();
+        inner
+            .submitted
+            .fetch_add(accepted as u64, Ordering::Relaxed);
+        inner
+            .rejected
+            .fetch_add(rejected.len() as u64, Ordering::Relaxed);
+        for _ in 0..accepted.min(inner.config.workers.max(1)) {
+            inner.ready.notify_one();
+        }
+        rejected
     }
 
     /// Jobs currently queued for `peer` alone (the fairness lane the
@@ -306,7 +365,7 @@ impl ServeQueue {
     /// Stops the workers after the queue drains and joins them.
     /// Subsequent submissions are rejected. Idempotent.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.inner.state.lock().shutdown = true;
         self.inner.ready.notify_all();
         let workers: Vec<JoinHandle<()>> = self.inner.workers.lock().drain(..).collect();
         for w in workers {
@@ -343,11 +402,10 @@ fn worker_loop(inner: &Arc<QueueInner>) {
                     state.total -= 1;
                     break entry;
                 }
-                if inner.shutdown.load(Ordering::SeqCst) {
+                if state.shutdown {
                     return;
                 }
-                let (guard, _) = inner.ready.wait_timeout(state, Duration::from_millis(100));
-                state = guard;
+                state = inner.ready.wait(state);
             }
         };
         // The deadline gate sits immediately before execution: expired
@@ -502,6 +560,152 @@ mod tests {
             b_pos <= 1,
             "b0 served within one round-robin turn, got order {order:?}"
         );
+    }
+
+    /// A queue whose single worker is parked inside a job until the
+    /// returned gate opens, so what is submitted meanwhile stays queued.
+    fn plugged_queue(per_peer_depth: usize, total_depth: usize) -> (ServeQueue, impl FnOnce()) {
+        let q = ServeQueue::new(ServeQueueConfig {
+            workers: 1,
+            per_peer_depth,
+            total_depth,
+            retry_after: Duration::from_millis(1),
+        });
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g = Arc::clone(&gate);
+        assert!(q.submit(
+            "plug",
+            Box::new(move || {
+                let mut open = g.0.lock();
+                while !*open {
+                    open = g.1.wait(open);
+                }
+            })
+        ));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while q.stats().depth > 0 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        let unplug = move || {
+            *gate.0.lock() = true;
+            gate.1.notify_all();
+        };
+        (q, unplug)
+    }
+
+    fn batch_of(peers: &[&str], order: &Arc<Mutex<Vec<String>>>) -> Vec<(Arc<str>, ServeJob)> {
+        peers
+            .iter()
+            .enumerate()
+            .map(|(i, peer)| {
+                let (o, tag) = (Arc::clone(order), format!("{peer}{i}"));
+                let job: ServeJob = Box::new(move || o.lock().push(tag));
+                (Arc::from(*peer), job)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_reports_the_jobs_over_the_per_peer_depth() {
+        let (q, unplug) = plugged_queue(2, 64);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        // Three for `a` (depth 2: the third bounces), `b` in between.
+        let rejected = q.submit_batch(batch_of(&["a", "b", "a", "a", "b"], &order));
+        assert_eq!(rejected, vec![3]);
+        assert_eq!(q.peer_depth("a"), 2);
+        assert_eq!(q.peer_depth("b"), 2);
+        let stats = q.stats();
+        assert_eq!((stats.submitted, stats.rejected, stats.depth), (5, 1, 4));
+        unplug();
+        q.shutdown();
+        let mut ran = order.lock().clone();
+        ran.sort();
+        assert_eq!(ran, ["a0", "a2", "b1", "b4"], "a rejected job never runs");
+    }
+
+    #[test]
+    fn batch_reports_the_jobs_over_the_total_depth() {
+        let (q, unplug) = plugged_queue(8, 3);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let rejected = q.submit_batch(batch_of(&["a", "b", "c", "d", "e"], &order));
+        assert_eq!(rejected, vec![3, 4], "the queue holds three");
+        assert!(
+            !q.submit("f", Box::new(|| {})),
+            "and stays full for a single submit"
+        );
+        unplug();
+        q.shutdown();
+        assert_eq!(*order.lock(), ["a0", "b1", "c2"]);
+        let stats = q.stats();
+        assert_eq!(stats.rejected, 3);
+        assert_eq!(
+            stats.submitted,
+            stats.served + stats.shed_expired + stats.depth as u64
+        );
+    }
+
+    #[test]
+    fn batch_keeps_the_round_robin_order() {
+        // `drains_peers_round_robin`, with the flood and the latecomer
+        // arriving in one batch: lanes join the ring in batch order and
+        // the worker takes one job per peer per turn.
+        let (q, unplug) = plugged_queue(16, 64);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let rejected = q.submit_batch(batch_of(&["a", "a", "a", "a", "b", "c"], &order));
+        assert!(rejected.is_empty());
+        unplug();
+        q.shutdown();
+        assert_eq!(*order.lock(), ["a0", "b4", "c5", "a1", "a2", "a3"]);
+        let stats = q.stats();
+        assert_eq!(stats.submitted, 7, "the plug and the batch");
+        assert_eq!(
+            stats.submitted,
+            stats.served + stats.shed_expired + stats.depth as u64
+        );
+    }
+
+    #[test]
+    fn batch_wakes_parked_workers() {
+        // Workers park without a timeout: only the batch's wake-up gets
+        // these jobs run.
+        let q = ServeQueue::new(ServeQueueConfig::workers(3));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let jobs = (0..16)
+            .map(|i| {
+                let tx = tx.clone();
+                let job: ServeJob = Box::new(move || tx.send(i).unwrap());
+                (Arc::from(format!("p{}", i % 4)), job)
+            })
+            .collect();
+        assert!(q.submit_batch(jobs).is_empty());
+        let mut ran: Vec<i32> = (0..16)
+            .map(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap())
+            .collect();
+        ran.sort();
+        assert_eq!(ran, (0..16).collect::<Vec<_>>());
+        q.shutdown();
+    }
+
+    #[test]
+    fn batch_after_shutdown_is_rejected_whole() {
+        let q = ServeQueue::new(ServeQueueConfig::workers(2));
+        q.shutdown();
+        let order = Arc::new(Mutex::new(Vec::new()));
+        assert_eq!(q.submit_batch(batch_of(&["a", "b"], &order)), vec![0, 1]);
+        assert!(q.submit_batch(Vec::new()).is_empty());
+        let stats = q.stats();
+        assert_eq!((stats.submitted, stats.rejected, stats.depth), (0, 2, 0));
+        assert!(order.lock().is_empty());
+    }
+
+    #[test]
+    fn shutdown_wakes_every_parked_worker() {
+        // An untimed park must not outlive shutdown: the flag is set under
+        // the lock the workers decide to park under.
+        for _ in 0..50 {
+            let q = ServeQueue::new(ServeQueueConfig::workers(4));
+            q.shutdown(); // joins; hangs if a wake-up is lost
+        }
     }
 
     #[test]

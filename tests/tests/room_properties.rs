@@ -14,14 +14,21 @@
 //!   and without costing any healthy member a single delta.
 //! * **Room isolation** — two rooms sharing one serve queue keep
 //!   independent sequence spaces and never leak updates across.
+//! * **Encode once** — a delta sent to N endpoint members is encoded into
+//!   a wire frame once, and every member is sent the bytes `send_event`
+//!   would have encoded for it alone.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use alfredo_core::{Room, RoomConfig, RoomReplica, RoomSink, RoomUpdate};
-use alfredo_osgi::Value;
-use alfredo_rosgi::{ServeQueue, ServeQueueConfig};
+use alfredo_core::{
+    room_update_topic, EndpointRoomSink, Room, RoomConfig, RoomDelta, RoomOp, RoomReplica,
+    RoomSink, RoomUpdate,
+};
+use alfredo_net::{CloseReason, InMemoryNetwork, PeerAddr, Transport, TransportError};
+use alfredo_osgi::{Framework, Value};
+use alfredo_rosgi::{EndpointConfig, Message, RemoteEndpoint, ServeQueue, ServeQueueConfig};
 
 const PUBLISHERS: usize = 8;
 const EVENTS_PER_PUBLISHER: usize = 1_000;
@@ -78,6 +85,35 @@ impl RecordingSink {
             );
             last = *seq;
         }
+    }
+
+    /// The contract of a member that may fall behind a room whose
+    /// backlogs hold `buffer` updates: one snapshot first, every delta
+    /// exactly one seq after what preceded it, and a later snapshot only
+    /// where the member really was more than `buffer` updates behind (it
+    /// stands for that many). Returns how many later snapshots there were.
+    fn assert_coalesced_only_past(&self, who: &str, buffer: usize) -> u64 {
+        let stream = self.stream.lock().unwrap();
+        assert!(
+            matches!(stream.first(), Some((true, _))),
+            "{who}: the join snapshot arrives first"
+        );
+        let mut last = stream[0].1;
+        let mut coalesced = 0;
+        for (is_snapshot, seq) in &stream[1..] {
+            if *is_snapshot {
+                assert!(
+                    *seq > last + buffer as u64,
+                    "{who}: coalesced at seq {seq} only {} behind (buffer {buffer})",
+                    seq - last
+                );
+                coalesced += 1;
+            } else {
+                assert_eq!(*seq, last + 1, "{who}: no delta skipped without a snapshot");
+            }
+            last = *seq;
+        }
+        coalesced
     }
 }
 
@@ -219,7 +255,8 @@ fn concurrent_publishers_yield_gap_free_monotonic_streams() {
 /// lane the member's own RPCs ride), and — the equivalence property —
 /// after unplugging it must reconstruct byte-identical state from
 /// "snapshot at S + deltas > S" while a healthy member assembles the
-/// same bytes from every delta.
+/// same bytes from the deltas (and is itself coalesced only where the
+/// unpaced burst left it a whole buffer behind).
 #[test]
 fn coalesced_snapshot_plus_trailing_deltas_is_byte_identical_to_full_stream() {
     const BUFFER: usize = 8;
@@ -259,12 +296,19 @@ fn coalesced_snapshot_plus_trailing_deltas_is_byte_identical_to_full_stream() {
     });
 
     let expected = room.state_json();
-    full.assert_contiguous("full");
-    assert_eq!(full.replica.snapshots_applied(), 1, "join snapshot only");
+    // The burst is unpaced — 200 publishes take less time than one worker
+    // wake-up — so the healthy member may itself fall a buffer behind and
+    // be coalesced (a_member_that_keeps_up_... below is the paced case).
+    // What it is owed regardless: snapshots only where it was more than a
+    // buffer behind, every other delta, in order, and the same bytes.
+    let coalesced = full.assert_coalesced_only_past("full", BUFFER);
+    assert_eq!(full.replica.snapshots_applied(), 1 + coalesced);
+    assert_eq!(full.replica.gaps(), 0, "snapshots cover skipped deltas");
+    assert_eq!(full.replica.duplicates(), 0);
     assert_eq!(
         full.replica.state_json(),
         expected,
-        "the every-delta member reconstructs the room byte for byte"
+        "the healthy member reconstructs the room byte for byte"
     );
     // The plugged member converged *through a coalesced snapshot*, not by
     // replaying the backlog: it saw a snapshot newer than its join and
@@ -296,6 +340,51 @@ fn coalesced_snapshot_plus_trailing_deltas_is_byte_identical_to_full_stream() {
     q.shutdown();
 }
 
+/// The same room, published to no faster than the healthy member takes
+/// the deltas: the plugged neighbour overflows all the same (it takes
+/// nothing), and its coalescing costs the member that keeps up not one
+/// delta and not one snapshot.
+#[test]
+fn a_member_that_keeps_up_is_never_coalesced_beside_a_plugged_one() {
+    const BUFFER: usize = 8;
+    const BURST: usize = 200;
+    let q = queue(4);
+    let room = Room::with_queue(
+        RoomConfig::new("board").with_member_buffer(BUFFER),
+        q.clone(),
+    );
+    let full = RecordingSink::new("board");
+    room.join("full", Arc::clone(&full) as Arc<dyn RoomSink>, 0);
+    let plugged = PluggedSink::new("board");
+    room.join("plugged", Arc::clone(&plugged) as Arc<dyn RoomSink>, 0);
+
+    for i in 0..BURST {
+        let seq = room
+            .publish("full", format!("k{}", i % 13), Value::I64(i as i64))
+            .expect("publisher is a member");
+        wait_until("the healthy member to take the delta", || {
+            full.replica.last_seq() >= seq
+        });
+    }
+    let coalesced = room.stats().coalesced_snapshots;
+    assert!(
+        coalesced >= (BURST / (BUFFER + 1)) as u64 - 1,
+        "the plugged member overflowed again and again ({coalesced} snapshots)"
+    );
+    plugged.unplug();
+    wait_until("the plugged member to converge", || {
+        plugged.replica.last_seq() == room.seq()
+    });
+
+    let expected = room.state_json();
+    full.assert_contiguous("full");
+    assert_eq!(full.replica.snapshots_applied(), 1, "join snapshot only");
+    assert_eq!(full.replica.state_json(), expected);
+    assert_eq!(plugged.replica.gaps(), 0, "snapshots cover skipped deltas");
+    assert_eq!(plugged.replica.state_json(), expected);
+    q.shutdown();
+}
+
 /// Two rooms on one shared queue: independent seq spaces, no cross-talk.
 #[test]
 fn rooms_sharing_a_queue_keep_independent_sequences() {
@@ -322,5 +411,166 @@ fn rooms_sharing_a_queue_keep_independent_sequences() {
     in_blue.assert_contiguous("blue member");
     assert_eq!(in_red.replica.state_json(), red.state_json());
     assert_eq!(in_blue.replica.state_json(), blue.state_json());
+    q.shutdown();
+}
+
+/// A device-side wire that keeps a copy of every frame it is asked to
+/// send.
+struct TappedWire<T: Transport> {
+    wire: T,
+    sent: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl<T: Transport> Transport for TappedWire<T> {
+    fn send(&self, frame: Vec<u8>) -> Result<(), TransportError> {
+        self.sent.lock().unwrap().push(frame.clone());
+        self.wire.send(frame)
+    }
+    fn recv(&self) -> Result<Vec<u8>, TransportError> {
+        self.wire.recv()
+    }
+    fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, TransportError> {
+        self.wire.recv_timeout(timeout)
+    }
+    fn try_recv(&self) -> Result<Option<Vec<u8>>, TransportError> {
+        self.wire.try_recv()
+    }
+    fn close(&self) {
+        self.wire.close();
+    }
+    fn is_closed(&self) -> bool {
+        self.wire.is_closed()
+    }
+    fn close_reason(&self) -> CloseReason {
+        self.wire.close_reason()
+    }
+    fn peer_addr(&self) -> &PeerAddr {
+        self.wire.peer_addr()
+    }
+    fn local_addr(&self) -> &PeerAddr {
+        self.wire.local_addr()
+    }
+}
+
+/// N phones on in-memory endpoints, M deltas: the room encodes exactly M
+/// frames for them (not N x M), each phone's wire carries exactly the
+/// bytes `RemoteEndpoint::send_event` produces for the same update, and
+/// every phone's replica converges on the room.
+#[test]
+fn a_delta_is_encoded_once_for_all_endpoint_members() {
+    const PHONES: usize = 5;
+    const DELTAS: u64 = 40;
+    let net = InMemoryNetwork::new();
+    let listener = net.bind(PeerAddr::new("device")).unwrap();
+    let q = queue(2);
+    let room = Room::with_queue(RoomConfig::new("board"), q.clone());
+    let device_fw = Framework::new();
+
+    struct Phone {
+        endpoint: RemoteEndpoint,
+        replica: Arc<RoomReplica>,
+        sent_to_it: Arc<Mutex<Vec<Vec<u8>>>>,
+    }
+    let mut device_ends = Vec::new();
+    let phones: Vec<Phone> = (0..PHONES)
+        .map(|i| {
+            let name = format!("phone{i}");
+            let fw = Framework::new();
+            let replica = RoomReplica::new("board");
+            replica.attach(fw.event_admin());
+            let wire = net
+                .connect(PeerAddr::new(name.as_str()), PeerAddr::new("device"))
+                .unwrap();
+            let sent_to_it = Arc::new(Mutex::new(Vec::new()));
+            let tapped = TappedWire {
+                wire: listener.accept().unwrap(),
+                sent: Arc::clone(&sent_to_it),
+            };
+            let device_fw = device_fw.clone();
+            let accept = std::thread::spawn(move || {
+                RemoteEndpoint::establish(Box::new(tapped), device_fw, EndpointConfig::default())
+                    .expect("device handshake")
+            });
+            let endpoint =
+                RemoteEndpoint::establish(Box::new(wire), fw, EndpointConfig::named(name.as_str()))
+                    .expect("phone handshake");
+            let device_end = Arc::new(accept.join().unwrap());
+            room.join(
+                &name,
+                Arc::new(EndpointRoomSink(Arc::clone(&device_end))),
+                0,
+            );
+            device_ends.push(device_end);
+            Phone {
+                endpoint,
+                replica,
+                sent_to_it,
+            }
+        })
+        .collect();
+    wait_until("the joins to reach every phone", || {
+        phones.iter().all(|p| p.replica.last_seq() == room.seq())
+    });
+
+    let encodings_before = room.stats().wire_encodings;
+    let frames_before: Vec<usize> = phones
+        .iter()
+        .map(|p| p.sent_to_it.lock().unwrap().len())
+        .collect();
+    let mut expected_frames = Vec::new();
+    for i in 0..DELTAS {
+        let key = format!("cursor/{}", i % 3);
+        let value = Value::structure("room.Cursor", [("x", Value::I64(i as i64))]);
+        let seq = room.publish("phone0", key.clone(), value.clone()).unwrap();
+        // What `send_event` encodes for this update: the message, whole.
+        expected_frames.push(
+            Message::RemoteEvent {
+                topic: room_update_topic("board"),
+                properties: RoomUpdate::Delta(RoomDelta {
+                    seq,
+                    member: "phone0".into(),
+                    key,
+                    op: RoomOp::Put(value),
+                })
+                .to_properties(),
+            }
+            .encode(),
+        );
+    }
+    wait_until("the deltas to reach every phone", || {
+        phones.iter().all(|p| p.replica.last_seq() == room.seq())
+    });
+
+    let stats = room.stats();
+    assert_eq!(
+        stats.wire_encodings - encodings_before,
+        DELTAS,
+        "one encoding per delta, whatever the number of members"
+    );
+    assert_eq!(stats.coalesced_snapshots, 0);
+    let expected = room.state_json();
+    for (i, (p, before)) in phones.iter().zip(frames_before).enumerate() {
+        let sent = p.sent_to_it.lock().unwrap();
+        assert_eq!(
+            sent[before..],
+            expected_frames[..],
+            "phone{i} was sent other bytes than send_event encodes"
+        );
+        assert_eq!(p.replica.state_json(), expected, "phone{i} diverged");
+        assert_eq!(p.replica.gaps(), 0);
+        assert_eq!(p.replica.duplicates(), 0);
+    }
+    let device_sent: u64 = device_ends.iter().map(|ep| ep.stats().frames_sent).sum();
+    let tapped: usize = phones
+        .iter()
+        .map(|p| p.sent_to_it.lock().unwrap().len())
+        .sum();
+    assert_eq!(
+        device_sent, tapped as u64,
+        "cached frames are counted as sent"
+    );
+    for p in &phones {
+        p.endpoint.close();
+    }
     q.shutdown();
 }
