@@ -1,9 +1,10 @@
-//! Invocation fast-path benchmark: measures the zero-allocation invoke
-//! pipeline (pooled wire buffers + borrowed encoding + sharded call
-//! table + pipelined async calls) against the legacy path
-//! (`EndpointConfig::with_legacy_invoke_path`), which reproduces the
-//! pre-optimization costs: owned `Message` values, per-frame buffer
-//! allocation, a single-shard call table, and no frame recycling.
+//! Invocation benchmark: measures the zero-allocation invoke pipeline
+//! (pooled wire buffers + borrowed encoding + sharded call table +
+//! pipelined async calls) and guards what must stay free on it: the
+//! buffer pool stays hot, the self-healing stack costs nothing when no
+//! fault occurs, and disabled tracing is indistinguishable from none.
+//! The pre-optimization baseline it was first measured against is gone
+//! from the code; its numbers are in EXPERIMENTS.md.
 //!
 //! ```text
 //! cargo run --release -p alfredo-bench --bin invoke_bench
@@ -28,9 +29,7 @@ use std::time::Duration;
 
 const INTERFACE: &str = "bench.Echo";
 
-/// A phone/device pair over the in-memory fabric, both sides using the
-/// same invoke-path flavor (the serve path differs too, so the legacy
-/// baseline must be legacy on both ends).
+/// A phone/device pair over the in-memory fabric.
 struct Pair {
     phone: Arc<RemoteEndpoint>,
     device: RemoteEndpoint,
@@ -38,15 +37,7 @@ struct Pair {
 }
 
 impl Pair {
-    fn establish(addr: &str, legacy: bool) -> Pair {
-        let configure = |name: &str| {
-            let c = EndpointConfig::named(name);
-            if legacy {
-                c.with_legacy_invoke_path()
-            } else {
-                c
-            }
-        };
+    fn establish(addr: &str) -> Pair {
         let net = InMemoryNetwork::new();
         let device_fw = Framework::new();
         device_fw
@@ -64,7 +55,7 @@ impl Pair {
 
         let listener = net.bind(PeerAddr::new(addr)).expect("bind");
         let fw = device_fw.clone();
-        let device_config = configure(addr);
+        let device_config = EndpointConfig::named(addr);
         let accept = std::thread::spawn(move || {
             let conn = listener.accept().expect("accept");
             RemoteEndpoint::establish(Box::new(conn), fw, device_config).expect("device handshake")
@@ -72,8 +63,12 @@ impl Pair {
         let conn = net
             .connect(PeerAddr::new("phone"), PeerAddr::new(addr))
             .expect("connect");
-        let phone = RemoteEndpoint::establish(Box::new(conn), Framework::new(), configure("phone"))
-            .expect("phone handshake");
+        let phone = RemoteEndpoint::establish(
+            Box::new(conn),
+            Framework::new(),
+            EndpointConfig::named("phone"),
+        )
+        .expect("phone handshake");
         Pair {
             phone: Arc::new(phone),
             device: accept.join().expect("device thread"),
@@ -127,7 +122,7 @@ impl Pair {
         }
     }
 
-    /// Like [`Pair::establish`] (fast flavor) with `obs` installed on
+    /// Like [`Pair::establish`] with `obs` installed on
     /// both ends — the obs-report scenario passes a recording handle, the
     /// disabled-overhead guard an explicit [`Obs::disabled`].
     fn establish_obs(addr: &str, obs: Obs) -> Pair {
@@ -258,9 +253,8 @@ fn pipelined(pair: &Pair, depth: usize, batches: usize) -> Measurement {
     )
 }
 
-/// N threads, each keeping `depth` async calls in flight — the workload
-/// the pre-change code could not express (blocking `invoke` was the only
-/// client API), measured against the same thread count blocking.
+/// N threads, each keeping `depth` async calls in flight, measured
+/// against the same thread count blocking.
 fn contention_pipelined(
     pair: &Pair,
     threads: usize,
@@ -314,38 +308,23 @@ fn contention_pipelined(
     )
 }
 
-/// Transport-free frame encoding: isolates what the borrowed + pooled
-/// encode path saves per call. "legacy" builds the owned [`alfredo_rosgi::Message`]
-/// (cloning interface, method, and args, as `invoke` did pre-change) and
-/// encodes into a fresh buffer; "fast" encodes borrowed parts into a
-/// pooled writer and recycles the frame, as the endpoint send path does.
-fn wire_encode(target_ms: u64) -> (Measurement, Measurement, f64) {
+/// Transport-free frame encoding, as the endpoint send path does it:
+/// borrowed parts into a pooled writer, the frame recycled.
+fn wire_encode(target_ms: u64) -> (Measurement, f64) {
     use alfredo_net::{BufferPool, ByteWriter};
     use alfredo_rosgi::Message;
 
     let args = payload();
-    let batch = 64;
-
-    let legacy = timing::bench_batched("wire-encode legacy", batch, target_ms, || {
-        let msg = Message::Invoke {
-            call_id: 7,
-            interface: INTERFACE.to_owned(),
-            method: "echo".to_owned(),
-            args: args.clone(),
-        };
-        msg.encode()
-    });
-
     let pool = BufferPool::new();
     let mut frame_bytes = 0.0;
-    let fast = timing::bench_batched("wire-encode fast", batch, target_ms, || {
+    let m = timing::bench_batched("wire-encode", 64, target_ms, || {
         let mut w = ByteWriter::with_pool(&pool);
         Message::encode_invoke(&mut w, 7, INTERFACE, "echo", &args, None, None);
         let frame = w.into_bytes();
         frame_bytes = frame.len() as f64;
         pool.give(frame);
     });
-    (fast, legacy, frame_bytes)
+    (m, frame_bytes)
 }
 
 fn scenario_json(m: &Measurement, bytes_per_call: f64) -> Json {
@@ -366,73 +345,43 @@ fn main() {
         (10_000, 8, 2_500, 8, 1_250, 400)
     };
 
-    println!("invoke_bench — zero-allocation invocation fast path vs legacy baseline");
+    println!("invoke_bench — zero-allocation invocation path");
     println!(
         "(in-memory transport, echo service, {} args/call)\n",
         payload().len()
     );
 
     let mut scenarios: Vec<(&str, Json)> = Vec::new();
-    let mut speedups: Vec<(&str, f64, f64)> = Vec::new();
 
     // --- frame encoding only (no transport) ------------------------------
-    let (enc_fast, enc_legacy, frame_bytes) = wire_encode(encode_ms);
-    enc_fast.report();
-    enc_legacy.report();
-    speedups.push((
-        "wire_encode",
-        enc_fast.ops_per_sec(),
-        enc_legacy.ops_per_sec(),
-    ));
+    let (enc, frame_bytes) = wire_encode(encode_ms);
+    enc.report();
     scenarios.push((
         "wire_encode",
-        Json::obj(vec![
-            ("fast", scenario_json(&enc_fast, frame_bytes)),
-            ("legacy", scenario_json(&enc_legacy, frame_bytes)),
-            (
-                "speedup",
-                Json::F64(enc_fast.ops_per_sec() / enc_legacy.ops_per_sec()),
-            ),
-        ]),
+        Json::obj(vec![("fast", scenario_json(&enc, frame_bytes))]),
     ));
 
-    // --- single-thread latency, fast vs legacy ---------------------------
-    let mut st = Vec::new();
-    for (flavor, legacy) in [("fast", false), ("legacy", true)] {
-        let pair = Pair::establish(&format!("dev-st-{flavor}"), legacy);
-        single_thread(&pair, st_calls / 10); // warmup
-        let before = pair.phone.stats();
-        let m = single_thread(&pair, st_calls);
-        let bpc = pair.bytes_per_call(&before);
-        m.report();
-        st.push((flavor, m, bpc));
-        pair.close();
-    }
-    speedups.push((
-        "single_thread",
-        st[0].1.ops_per_sec(),
-        st[1].1.ops_per_sec(),
-    ));
+    // --- single-thread latency --------------------------------------------
+    let pair = Pair::establish("dev-st");
+    single_thread(&pair, st_calls / 10); // warmup
+    let before = pair.phone.stats();
+    let st = single_thread(&pair, st_calls);
+    let st_bpc = pair.bytes_per_call(&before);
+    st.report();
+    pair.close();
     scenarios.push((
         "single_thread",
-        Json::obj(vec![
-            ("fast", scenario_json(&st[0].1, st[0].2)),
-            ("legacy", scenario_json(&st[1].1, st[1].2)),
-            (
-                "speedup",
-                Json::F64(st[0].1.ops_per_sec() / st[1].1.ops_per_sec()),
-            ),
-        ]),
+        Json::obj(vec![("fast", scenario_json(&st, st_bpc))]),
     ));
 
     // --- faultless-path guard -------------------------------------------
-    // The self-healing machinery (heartbeat thread, retry policy, fault
+    // The self-healing machinery (heartbeat, retry policy, fault
     // wrapper with an empty plan) must cost nothing when no faults occur:
     // zero retries, zero reconnects, the same pooled-buffer economics,
     // and single-thread throughput within 5% of the bare fast path
     // measured moments ago in this same process.
     // Measure resilient vs bare-fast on fresh pairs each round (so one
-    // unlucky reader-thread placement cannot taint every round), and take
+    // unlucky delivery-thread placement cannot taint every round), and take
     // the median of the per-round throughput ratios. Comparing against
     // the `st` numbers measured earlier in the process would fold clock
     // drift into the 5%.
@@ -443,7 +392,7 @@ fn main() {
     let mut guard_bpc = 0.0;
     for round in 0..rounds {
         let guard_pair = Pair::establish_resilient(&format!("dev-guard-{round}"));
-        let ref_pair = Pair::establish(&format!("dev-guard-ref-{round}"), false);
+        let ref_pair = Pair::establish(&format!("dev-guard-ref-{round}"));
         single_thread(&guard_pair, st_calls / 10); // warmup
         single_thread(&ref_pair, st_calls / 10);
         let before = guard_pair.phone.stats();
@@ -507,7 +456,7 @@ fn main() {
     let mut obs_ratios = Vec::with_capacity(obs_rounds);
     for round in 0..obs_rounds {
         let off_pair = Pair::establish_obs(&format!("dev-obs-off-{round}"), Obs::disabled());
-        let ref_pair = Pair::establish(&format!("dev-obs-ref-{round}"), false);
+        let ref_pair = Pair::establish(&format!("dev-obs-ref-{round}"));
         single_thread(&off_pair, st_calls / 10); // warmup
         single_thread(&ref_pair, st_calls / 10);
         let g = single_thread(&off_pair, st_calls / 2);
@@ -565,59 +514,37 @@ fn main() {
     on_pair.close();
 
     // --- N-thread contention -------------------------------------------
-    // Three rows: the legacy flavor blocking (all the pre-change code
-    // could do), the fast flavor on the same blocking workload, and the
-    // fast flavor with each thread keeping a depth-K async pipeline —
-    // the client shape the new API enables. The headline speedup is
-    // pipelined-vs-pre-change: same 8 threads, same connection.
-    let mut ct = Vec::new();
-    for (flavor, legacy) in [("fast", false), ("legacy", true)] {
-        let pair = Pair::establish(&format!("dev-ct-{flavor}"), legacy);
-        contention(&pair, threads, per_thread / 10); // warmup
-        let before = pair.phone.stats();
-        let m = contention(&pair, threads, per_thread);
-        let bpc = pair.bytes_per_call(&before);
-        m.report();
-        ct.push((flavor, m, bpc));
-        pair.close();
-    }
-    let ct_pipe_pair = Pair::establish("dev-ct-pipe", false);
+    // Two rows, same 8 threads on one connection: blocking invokes, and
+    // each thread keeping a depth-K async pipeline.
+    let ct_pair = Pair::establish("dev-ct");
+    contention(&ct_pair, threads, per_thread / 10); // warmup
+    let before = ct_pair.phone.stats();
+    let ct = contention(&ct_pair, threads, per_thread);
+    let ct_bpc = ct_pair.bytes_per_call(&before);
+    ct.report();
+    ct_pair.close();
+    let ct_pipe_pair = Pair::establish("dev-ct-pipe");
     contention_pipelined(&ct_pipe_pair, threads, depth, per_thread / 10); // warmup
     let before = ct_pipe_pair.phone.stats();
     let ct_pipe = contention_pipelined(&ct_pipe_pair, threads, depth, per_thread);
     let ct_pipe_bpc = ct_pipe_pair.bytes_per_call(&before);
     ct_pipe.report();
     ct_pipe_pair.close();
-    speedups.push((
-        "contention_8_threads (blocking)",
-        ct[0].1.ops_per_sec(),
-        ct[1].1.ops_per_sec(),
-    ));
-    speedups.push((
-        "contention_8_threads (pipelined vs pre-change)",
-        ct_pipe.ops_per_sec(),
-        ct[1].1.ops_per_sec(),
-    ));
     scenarios.push((
         "contention_8_threads",
         Json::obj(vec![
             ("threads", Json::I64(threads as i64)),
-            ("fast", scenario_json(&ct[0].1, ct[0].2)),
+            ("fast", scenario_json(&ct, ct_bpc)),
             ("fast_pipelined", scenario_json(&ct_pipe, ct_pipe_bpc)),
-            ("legacy", scenario_json(&ct[1].1, ct[1].2)),
             (
-                "speedup_blocking",
-                Json::F64(ct[0].1.ops_per_sec() / ct[1].1.ops_per_sec()),
-            ),
-            (
-                "speedup_pipelined_vs_pre_change",
-                Json::F64(ct_pipe.ops_per_sec() / ct[1].1.ops_per_sec()),
+                "speedup_pipelined_vs_blocking",
+                Json::F64(ct_pipe.ops_per_sec() / ct.ops_per_sec()),
             ),
         ]),
     ));
 
-    // --- pipelined depth-K (fast path only: the API is the feature) ------
-    let pipe_pair = Pair::establish("dev-pipe", false);
+    // --- pipelined depth-K ------------------------------------------------
+    let pipe_pair = Pair::establish("dev-pipe");
     pipelined(&pipe_pair, depth, batches / 10); // warmup
     let before = pipe_pair.phone.stats();
     let pipe = pipelined(&pipe_pair, depth, batches);
@@ -631,7 +558,7 @@ fn main() {
             ("fast", scenario_json(&pipe, pipe_bpc)),
             (
                 "speedup_vs_single_thread_fast",
-                Json::F64(pipe.ops_per_sec() / st[0].1.ops_per_sec()),
+                Json::F64(pipe.ops_per_sec() / st.ops_per_sec()),
             ),
         ]),
     ));
@@ -646,9 +573,6 @@ fn main() {
         counters.bytes_reused,
         counters.slots_reused
     );
-    for (name, fast, legacy) in &speedups {
-        println!("  {name}: fast/legacy = {:.2}x", fast / legacy);
-    }
 
     let doc = Json::obj(vec![
         ("benchmark", Json::str("invoke_bench")),

@@ -312,11 +312,12 @@ impl FrameSink for FaultySink {
 /// the *decisions* stay seeded but their assignment to frames follows
 /// thread interleaving.
 ///
-/// Composes over reactor-backed transports: [`Transport::set_sink`] is
-/// forwarded with the receive-side filter (partition black-hole, seeded
-/// drops) interposed at the non-blocking layer. Send-side faults are
-/// applied before the frame reaches the wrapped transport either way.
-/// Note that an injected *delay* sleeps on the sending thread.
+/// [`Transport::set_sink`] is forwarded with the receive-side filter
+/// (partition black-hole, seeded drops) interposed in front of the
+/// caller's sink. Send-side faults are applied before the frame reaches
+/// the wrapped transport either way. Note that an injected *delay* sleeps
+/// on the sending thread — for a heartbeat ping that is the shared timer
+/// wheel, which then ticks nothing else for that long.
 pub struct FaultyTransport {
     inner: Box<dyn Transport>,
     send_rng: Mutex<SimRng>,
@@ -547,11 +548,11 @@ impl Transport for FaultyTransport {
         self.inner.local_addr()
     }
 
-    fn set_sink(&self, sink: Box<dyn FrameSink>) -> bool {
+    fn set_sink(&self, sink: Box<dyn FrameSink>) {
         self.inner.set_sink(Box::new(FaultySink {
             core: Arc::clone(&self.recv),
             inner: sink,
-        }))
+        }));
     }
 }
 

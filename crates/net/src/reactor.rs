@@ -1,10 +1,9 @@
 //! The I/O reactor: readiness-driven socket multiplexing on a fixed
 //! thread budget.
 //!
-//! Before this module existed every TCP endpoint burned a dedicated
-//! reader thread (`read_exact` loops) plus a heartbeat thread, so the
-//! process cost of a connection was two OS threads — fine for 16 phones,
-//! structurally impossible for thousands. The reactor inverts that:
+//! A TCP connection costs no thread: a blocking reader per socket (and a
+//! heartbeat thread per endpoint) is fine for 16 phones and structurally
+//! impossible for thousands, so the reactor multiplexes instead:
 //!
 //! * **One or a few poller threads** (`min(4, cores)` by default, capped
 //!   well under the bench guard of 8) own *all* connections. Sockets are
@@ -23,8 +22,9 @@
 //!   buffer has room, senders skip the reactor entirely and write
 //!   directly under the outbox lock.
 //! * **A shared timer wheel** ([`TimerWheel`]) runs every heartbeat and
-//!   lease TTL in the process on one thread, instead of one thread per
-//!   endpoint.
+//!   lease TTL in the process on one thread — for endpoints on any
+//!   transport, in-memory ones included; it is their only heartbeat
+//!   driver.
 //!
 //! Backpressure: each connection's outbox is capped (1 MiB). Application
 //! threads block in `send` until the peer drains; reactor and timer

@@ -95,9 +95,8 @@ impl Transport for TcpTransport {
         self.conn.local_addr()
     }
 
-    fn set_sink(&self, sink: Box<dyn FrameSink>) -> bool {
+    fn set_sink(&self, sink: Box<dyn FrameSink>) {
         self.conn.set_sink(sink);
-        true
     }
 }
 
@@ -279,48 +278,96 @@ mod tests {
         assert_eq!(server.peer_addr(), client.local_addr());
     }
 
-    #[test]
-    fn sink_receives_frames_and_close_in_order() {
-        struct Collector {
-            tx: mpsc::Sender<Option<Vec<u8>>>,
+    /// What a sink saw, in order; `Dropped` is the sink's own `Drop`.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Frame(Vec<u8>),
+        Closed,
+        Dropped,
+    }
+
+    struct Collector {
+        tx: mpsc::Sender<Seen>,
+    }
+    impl FrameSink for Collector {
+        fn on_frame(&mut self, frame: Vec<u8>) {
+            self.tx.send(Seen::Frame(frame)).unwrap();
         }
-        impl FrameSink for Collector {
-            fn on_frame(&mut self, frame: Vec<u8>) {
-                self.tx.send(Some(frame)).unwrap();
-            }
-            fn on_close(&mut self) {
-                self.tx.send(None).unwrap();
-            }
+        fn on_close(&mut self) {
+            self.tx.send(Seen::Closed).unwrap();
         }
+    }
+    impl Drop for Collector {
+        fn drop(&mut self) {
+            let _ = self.tx.send(Seen::Dropped);
+        }
+    }
+
+    type BoxedPair = (Box<dyn Transport>, Box<dyn Transport>);
+
+    /// The one sink contract every transport upholds. Each scenario ends
+    /// with the collector's channel disconnected: the sink was dropped, so
+    /// nothing can be delivered after `on_close` and it cannot fire twice.
+    fn sink_contract(pair: impl Fn() -> BoxedPair) {
+        let timeout = Duration::from_secs(5);
+        let expect_end = |rx: &mpsc::Receiver<Seen>| {
+            assert_eq!(rx.recv_timeout(timeout), Ok(Seen::Closed));
+            assert_eq!(rx.recv_timeout(timeout), Ok(Seen::Dropped));
+            assert_eq!(
+                rx.recv_timeout(timeout),
+                Err(mpsc::RecvTimeoutError::Disconnected)
+            );
+        };
+
+        // Peer close. Frames sent *before* the sink is installed drain
+        // into it first, preserving order across the mode switch.
         let (client, server) = pair();
-        // Frames sent *before* the sink is installed must drain into it
-        // first, preserving order across the mode switch.
         client.send(b"one".to_vec()).unwrap();
         assert_eq!(server.recv().unwrap(), b"one");
         client.send(b"two".to_vec()).unwrap();
         let (tx, rx) = mpsc::channel();
-        assert!(server.set_sink(Box::new(Collector { tx })));
+        server.set_sink(Box::new(Collector { tx }));
         client.send(b"three".to_vec()).unwrap();
         client.close();
-        let timeout = Duration::from_secs(5);
-        assert_eq!(rx.recv_timeout(timeout).unwrap(), Some(b"two".to_vec()));
-        assert_eq!(rx.recv_timeout(timeout).unwrap(), Some(b"three".to_vec()));
-        assert_eq!(rx.recv_timeout(timeout).unwrap(), None);
-        // on_close fires exactly once.
-        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+        assert_eq!(rx.recv_timeout(timeout), Ok(Seen::Frame(b"two".to_vec())));
+        assert_eq!(rx.recv_timeout(timeout), Ok(Seen::Frame(b"three".to_vec())));
+        expect_end(&rx);
+
+        // Local close: what the peer sends afterwards goes nowhere.
+        let (client, server) = pair();
+        let (tx, rx) = mpsc::channel();
+        server.set_sink(Box::new(Collector { tx }));
+        client.send(b"early".to_vec()).unwrap();
+        assert_eq!(rx.recv_timeout(timeout), Ok(Seen::Frame(b"early".to_vec())));
+        server.close();
+        let _ = client.send(b"late".to_vec());
+        expect_end(&rx);
+
+        // Dropping both halves ends delivery and releases the sink.
+        let (client, server) = pair();
+        let (tx, rx) = mpsc::channel();
+        server.set_sink(Box::new(Collector { tx }));
+        drop(server);
+        drop(client);
+        expect_end(&rx);
     }
 
     #[test]
-    fn channel_transport_reports_no_sink_support() {
+    fn sink_receives_frames_and_close_in_order() {
+        sink_contract(|| {
+            let (client, server) = pair();
+            (Box::new(client), Box::new(server))
+        });
+    }
+
+    #[test]
+    fn channel_sink_receives_frames_and_close_in_order() {
         let net = crate::InMemoryNetwork::new();
-        let _listener = net.bind(PeerAddr::new("s")).unwrap();
-        let t = net.connect(PeerAddr::new("c"), PeerAddr::new("s")).unwrap();
-        struct Nop;
-        impl FrameSink for Nop {
-            fn on_frame(&mut self, _f: Vec<u8>) {}
-            fn on_close(&mut self) {}
-        }
-        assert!(!t.set_sink(Box::new(Nop)));
+        let listener = net.bind(PeerAddr::new("s")).unwrap();
+        sink_contract(|| {
+            let client = net.connect(PeerAddr::new("c"), PeerAddr::new("s")).unwrap();
+            (Box::new(client), Box::new(listener.accept().unwrap()))
+        });
     }
 
     #[test]
@@ -408,10 +455,10 @@ mod tests {
             let (client, server) = pair();
             for wire in [Arc::new(client), Arc::new(server)] {
                 freed.push(Arc::downgrade(&wire.conn));
-                assert!(wire.set_sink(Box::new(Holding {
+                wire.set_sink(Box::new(Holding {
                     _wire: Arc::clone(&wire),
                     closed: closed_tx.clone(),
-                })));
+                }));
                 wire.close();
             }
         }

@@ -122,21 +122,22 @@ enum Packet {
 /// A push-mode consumer of inbound frames, installed with
 /// [`Transport::set_sink`].
 ///
-/// Reactor-backed transports deliver frames by *calling* the sink from an
-/// I/O thread instead of queueing them for a blocking `recv()` — this is
-/// what lets one I/O thread serve thousands of connections without a
-/// reader thread per peer. Implementations must uphold:
+/// Every transport delivers frames by *calling* the sink from a thread
+/// of its own instead of queueing them for a blocking `recv()`: a
+/// reactor poller for TCP (one I/O thread serves thousands of
+/// connections), a per-half pump thread for the in-memory
+/// [`ChannelTransport`]. Implementations must uphold:
 ///
 /// * `on_frame` is called once per frame, in arrival order, from one
 ///   thread at a time (calls are serialized, though not necessarily from
 ///   the same OS thread over the connection's lifetime).
 /// * `on_close` is called exactly once, after the final `on_frame`, no
 ///   matter how the connection ends (peer EOF, I/O error, corrupt stream,
-///   or local `close()`).
-/// * Callbacks run on a shared I/O thread: they may send on any transport
-///   and may take locks, but must never block waiting for *another* frame
-///   to arrive (that frame could only be delivered by the thread that is
-///   blocked).
+///   or local `close()`), and the sink is dropped right after it.
+/// * Callbacks may run on a shared I/O thread: they may send on any
+///   transport and may take locks, but must never block waiting for
+///   *another* frame to arrive (that frame could only be delivered by
+///   the thread that is blocked), and must not panic.
 pub trait FrameSink: Send {
     /// One inbound frame, in order.
     fn on_frame(&mut self, frame: Vec<u8>);
@@ -204,15 +205,9 @@ pub trait Transport: Send + Sync {
     /// Switches the transport from pull mode (`recv*`) to push mode: all
     /// frames not yet consumed, and every future frame, are delivered to
     /// `sink` in order, and `sink.on_close` fires exactly once when the
-    /// connection ends.
-    ///
-    /// Returns `false` (the default) when the transport has no readiness
-    /// machinery to drive a sink — the caller should keep a reader thread.
-    /// After a `true` return the `recv*` methods must no longer be used.
-    fn set_sink(&self, sink: Box<dyn FrameSink>) -> bool {
-        drop(sink);
-        false
-    }
+    /// connection ends. From then on the `recv*` methods must no longer
+    /// be used. Call it at most once per connection.
+    fn set_sink(&self, sink: Box<dyn FrameSink>);
 }
 
 /// One half of an in-memory connection.
@@ -308,6 +303,43 @@ impl Transport for ChannelTransport {
 
     fn local_addr(&self) -> &PeerAddr {
         &self.local
+    }
+
+    /// Starts this half's pump thread (`net-pump-<local>`): it delivers
+    /// queued-then-future frames in order and fires `on_close` on `Fin`
+    /// (either side's `close()`, or this half being dropped) or when
+    /// every sender is gone. The pump owns a clone of the receive queue
+    /// and the `closed` flag, never the transport itself, so a sink that
+    /// holds its transport is released as soon as the connection ends.
+    fn set_sink(&self, sink: Box<dyn FrameSink>) {
+        // The sink travels in a shared slot so a failed spawn (which
+        // drops the closure) can still end the connection properly.
+        let slot = Arc::new(Mutex::new(Some(sink)));
+        let pump = {
+            let slot = Arc::clone(&slot);
+            let rx = self.rx.clone();
+            let closed = Arc::clone(&self.closed);
+            move || {
+                let Some(mut sink) = slot.lock().take() else {
+                    return;
+                };
+                while let Ok(Packet::Frame(frame)) = rx.recv() {
+                    sink.on_frame(frame);
+                }
+                closed.store(true, Ordering::SeqCst);
+                sink.on_close();
+            }
+        };
+        let spawned = std::thread::Builder::new()
+            .name(format!("net-pump-{}", self.local))
+            .spawn(pump);
+        if spawned.is_err() {
+            // No thread to deliver on: the connection is over.
+            self.close();
+            if let Some(mut sink) = slot.lock().take() {
+                sink.on_close();
+            }
+        }
     }
 }
 

@@ -33,10 +33,10 @@ fn cycle(listener: &TcpNetListener) {
     let client = Arc::new(TcpTransport::connect(listener.local_addr()).expect("connect"));
     let server = Arc::new(listener.accept().expect("accept"));
     for wire in [&client, &server] {
-        assert!(wire.set_sink(Box::new(Holding {
+        wire.set_sink(Box::new(Holding {
             _wire: Arc::clone(wire),
             closed: closed_tx.clone(),
-        })));
+        }));
     }
     client.close();
     for _ in 0..2 {

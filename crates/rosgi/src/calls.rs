@@ -1,8 +1,9 @@
 //! The sharded pending-call table.
 //!
 //! Every outstanding remote invocation needs a rendezvous between the
-//! calling thread (which blocks for the response) and the reader thread
-//! (which routes the `Response` frame back by `call_id`). The original
+//! calling thread (which blocks for the response) and the transport's
+//! delivery thread (which routes the `Response` frame back by `call_id`:
+//! a reactor poller, or an in-memory wire's pump). The original
 //! implementation used one global `Mutex<HashMap<u64, Sender>>` plus a
 //! fresh bounded channel per call — all concurrent callers serialized on
 //! one lock and every call allocated a channel.
@@ -31,6 +32,9 @@ use alfredo_sync::{Condvar, Mutex};
 /// Number of shards. A small power of two: enough that an 8–16 thread
 /// caller pool rarely collides, small enough to keep the table compact.
 pub(crate) const SHARDS: usize = 16;
+
+/// Maximum spent slots retained per shard.
+const MAX_FREE: usize = 32;
 
 /// Milliseconds of budget left until `deadline` — the per-attempt wire
 /// stamp for deadline propagation. Each attempt re-stamps its *remaining*
@@ -115,32 +119,15 @@ impl<T> Default for Shard<T> {
 /// Sharded map of outstanding calls, keyed by `call_id`.
 pub(crate) struct CallTable<T> {
     shards: Vec<Shard<T>>,
-    /// Maximum spent slots retained per shard.
-    max_free: usize,
     slots_reused: AtomicU64,
 }
 
 impl<T> CallTable<T> {
     pub(crate) fn new() -> Self {
-        CallTable::with_shards(SHARDS)
-    }
-
-    /// A table with an explicit shard count (1 = the legacy global-lock
-    /// behaviour, kept for benchmark baselines).
-    pub(crate) fn with_shards(shards: usize) -> Self {
         CallTable {
-            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
-            max_free: 32,
+            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
             slots_reused: AtomicU64::new(0),
         }
-    }
-
-    /// The pre-optimization shape: one shard (global lock) and no slot
-    /// reuse, so every call allocates — the benchmark baseline.
-    pub(crate) fn legacy() -> Self {
-        let mut table = CallTable::with_shards(1);
-        table.max_free = 0;
-        table
     }
 
     fn shard(&self, call_id: u64) -> &Shard<T> {
@@ -194,7 +181,7 @@ impl<T> CallTable<T> {
             return;
         }
         let mut free = self.shard(call_id).free.lock();
-        if free.len() < self.max_free {
+        if free.len() < MAX_FREE {
             free.push(slot);
         }
     }

@@ -5,13 +5,12 @@
 //! peer-to-peer): they exchange `Hello` + `Lease` + `EventInterest` on
 //! connect, then serve the peer's requests (invocations, fetches,
 //! events, streams) while local calls go out through the same transport.
-//! Frame delivery takes one of two forms: reactor-backed transports
-//! (TCP) push frames as poller callbacks — **sink mode**, no
-//! per-connection thread — while channel transports keep a dedicated
-//! reader thread. Sink-mode heartbeats tick on the reactor's shared
-//! timer wheel instead of a thread of their own, so an idle endpoint
-//! costs two file descriptors and some bookkeeping, not two parked
-//! threads.
+//! Frames are pushed into the endpoint's [`FrameSink`] by the transport's
+//! own delivery thread — a reactor poller for TCP, the per-half pump of
+//! an in-memory wire — so the endpoint itself keeps no thread per
+//! connection. Heartbeats tick on the reactor's shared timer wheel, so
+//! an idle TCP endpoint costs two file descriptors and some bookkeeping,
+//! not two parked threads.
 //!
 //! Disconnection — orderly (`Bye`) or abrupt — triggers the cleanup path:
 //! every proxy bundle installed for the peer is uninstalled, so local
@@ -19,8 +18,8 @@
 //! software can handle gracefully" (paper §2.1).
 //!
 //! Invocations arriving from the peer are served on the delivery thread
-//! — the reader thread, or the reactor poller in sink mode (configure a
-//! [`ServeQueue`] to hop heavy handlers off the poller) — because
+//! (configure a [`ServeQueue`] to hop heavy handlers off a reactor
+//! poller) — because
 //! R-OSGi's invocations are synchronous and blocking, §2.1 of the
 //! AlfredO paper. Consequently a service handler must not invoke
 //! *back* over the same connection — that call's response could never be
@@ -32,7 +31,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use alfredo_sync::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -40,7 +38,7 @@ use alfredo_sync::{Condvar, Mutex, RwLock};
 
 use alfredo_journal::Journal;
 use alfredo_net::{
-    BufferPool, ByteWriter, CloseReason, FrameSink, Reactor, TimerWheel, Transport, TransportError,
+    BufferPool, ByteWriter, CloseReason, FrameSink, Reactor, Transport, TransportError,
 };
 use alfredo_obs::{Counter, Gauge, Histogram, MetricsHandle, Obs, Span, SpanCtx};
 use alfredo_osgi::events::topic_matches;
@@ -57,7 +55,7 @@ use crate::health::{
     HeartbeatConfig, RetryBudget, RetryBudgetConfig, RetryPolicy,
 };
 use crate::lease::{LeaseTable, RemoteServiceInfo};
-use crate::message::{Message, PROTOCOL_VERSION};
+use crate::message::{BorrowedInvoke, Message, PROTOCOL_VERSION};
 use crate::proxy::{Invoker, RemoteServiceProxy, SmartProxySpec};
 use crate::serve::{ServeQueue, SubmitOutcome};
 use crate::stream::{
@@ -121,13 +119,9 @@ pub struct EndpointConfig {
     pub initial_stream_credits: u32,
     /// Stream chunk size in bytes.
     pub stream_chunk_size: usize,
-    /// Use the pre-optimization invocation path: owned `Message` values,
-    /// a fresh frame allocation per send, and a single-shard call table
-    /// with no slot reuse. Kept so benchmarks can measure the fast path
-    /// against an honest baseline; leave `false` in real deployments.
-    pub legacy_invoke_path: bool,
-    /// Background heartbeat driving the health state machine. `None`
-    /// (the default) spawns no heartbeat thread.
+    /// Background heartbeat driving the health state machine, ticked on
+    /// the reactor's shared timer wheel. `None` (the default) schedules
+    /// nothing.
     pub heartbeat: Option<HeartbeatConfig>,
     /// Time-to-live for lease entries. With a TTL, entries are renewed on
     /// every successful heartbeat and purged (their proxies uninstalled)
@@ -137,9 +131,9 @@ pub struct EndpointConfig {
     /// default (`max_retries == 0`) never retries and adds no cost to the
     /// invoke fast path.
     pub retry: RetryPolicy,
-    /// Automatic reconnection. When set, a dead wire makes the reader
+    /// Automatic reconnection. When set, a dead wire makes the endpoint
     /// re-dial, re-run the handshake, and re-bind surviving proxies in
-    /// place instead of tearing the endpoint down.
+    /// place instead of tearing itself down.
     pub reconnect: Option<ReconnectConfig>,
     /// Observability handle. The default ([`Obs::disabled`]) keeps span
     /// creation a no-op branch on the invoke fast path; a recording
@@ -149,7 +143,7 @@ pub struct EndpointConfig {
     /// tracer is shared.
     pub obs: Obs,
     /// Bounded work queue for *serving* the peer's invocations. `None`
-    /// (the default) serves each invocation inline on the reader thread
+    /// (the default) serves each invocation inline on the delivery thread
     /// — the single-pair fast path with no queue hop. With a queue —
     /// typically one [`ServeQueue`] shared by every endpoint of a device
     /// — invocations are drained by its worker pool with per-peer
@@ -162,12 +156,6 @@ pub struct EndpointConfig {
     /// recover which peers held which services (see
     /// [`crate::lease::recover_lease_grants`]).
     pub journal: Option<Journal>,
-    /// Timer wheel for heartbeat ticks. Endpoints whose transport is
-    /// driven by the reactor (sink mode) tick on the global reactor's
-    /// wheel automatically; setting this forces wheel-driven heartbeats
-    /// (no dedicated thread) on any endpoint, or redirects sink-mode
-    /// endpoints to a private wheel.
-    pub timer: Option<TimerWheel>,
     /// Circuit breaker guarding the invoke path. The default (threshold
     /// 0) disables it — one dead branch on the fast path. With a
     /// threshold, consecutive wire-level invoke failures trip the circuit
@@ -246,7 +234,6 @@ impl Default for EndpointConfig {
             forward_events: true,
             initial_stream_credits: DEFAULT_INITIAL_CREDITS,
             stream_chunk_size: DEFAULT_CHUNK_SIZE,
-            legacy_invoke_path: false,
             heartbeat: None,
             lease_ttl: None,
             retry: RetryPolicy::default(),
@@ -254,7 +241,6 @@ impl Default for EndpointConfig {
             obs: Obs::disabled(),
             serve_queue: None,
             journal: None,
-            timer: None,
             breaker: BreakerConfig::default(),
             retry_budget: RetryBudgetConfig::default(),
             propagate_deadline: false,
@@ -281,13 +267,6 @@ impl EndpointConfig {
     /// Builder-style: sets the invocation timeout.
     pub fn with_invoke_timeout(mut self, timeout: Duration) -> Self {
         self.invoke_timeout = timeout;
-        self
-    }
-
-    /// Builder-style: selects the pre-optimization invocation path
-    /// (benchmark baseline).
-    pub fn with_legacy_invoke_path(mut self) -> Self {
-        self.legacy_invoke_path = true;
         self
     }
 
@@ -323,7 +302,7 @@ impl EndpointConfig {
 
     /// Builder-style: serves the peer's invocations through `queue`
     /// (worker pool + `Busy` backpressure) instead of inline on the
-    /// reader thread.
+    /// delivery thread.
     pub fn with_serve_queue(mut self, queue: ServeQueue) -> Self {
         self.serve_queue = Some(queue);
         self
@@ -333,13 +312,6 @@ impl EndpointConfig {
     /// goodbyes) into `journal` for crash recovery.
     pub fn with_journal(mut self, journal: Journal) -> Self {
         self.journal = Some(journal);
-        self
-    }
-
-    /// Builder-style: ticks the heartbeat on `wheel` instead of a
-    /// dedicated thread (see [`EndpointConfig::timer`]).
-    pub fn with_timer_wheel(mut self, wheel: TimerWheel) -> Self {
-        self.timer = Some(wheel);
         self
     }
 
@@ -594,6 +566,11 @@ struct Inner {
     config: EndpointConfig,
     remote_peer: Mutex<String>,
     leases: Mutex<LeaseTable>,
+    /// Held while a lease announcement is computed and sent. A full
+    /// `Lease` snapshot overtaken by the `LeaseUpdate` of a registration
+    /// it missed would reset the peer to the stale snapshot and lose that
+    /// service for good.
+    lease_order: Mutex<()>,
     calls: CallTable<CallResult>,
     pool: Arc<BufferPool>,
     pending_fetches: Mutex<HashMap<String, FetchWaiter>>,
@@ -614,8 +591,8 @@ struct Inner {
     interest_listener: Mutex<Option<u64>>,
     /// Permanently closed: cleanup ran, nothing will reconnect.
     closed: AtomicBool,
-    /// Orderly shutdown requested (local `close()` or peer `Bye`): the
-    /// reader must not attempt reconnection even if one is configured.
+    /// Orderly shutdown requested (local `close()` or peer `Bye`): no
+    /// reconnection is attempted even if one is configured.
     shutdown: AtomicBool,
     health: HealthMonitor,
     /// Circuit breaker guarding the invoke path (a no-op when disabled).
@@ -623,17 +600,15 @@ struct Inner {
     /// Token bucket bounding total retry volume (a no-op when disabled).
     retry_budget: RetryBudget,
     disconnect_reason: Mutex<DisconnectReason>,
-    /// Wakes/stops the heartbeat thread.
-    hb_stop: (Sender<()>, Receiver<()>),
-    /// Signalled once `cleanup` finishes. In sink mode there is no reader
-    /// thread to join, so [`RemoteEndpoint::join`] waits here instead.
+    /// Signalled once `cleanup` finishes; [`RemoteEndpoint::join`] waits
+    /// here.
     done: (Mutex<bool>, Condvar),
     counters: Counters,
     /// Per-endpoint metrics + the (possibly shared) tracer.
     obs: Obs,
     /// Trace context of whatever span was current when the endpoint was
     /// established (e.g. the engine's `interaction` span). Reconnect
-    /// spans run on the reader thread and parent here explicitly.
+    /// spans run on a teardown thread and parent here explicitly.
     conn_ctx: Option<SpanCtx>,
 }
 
@@ -641,8 +616,6 @@ struct Inner {
 /// example.
 pub struct RemoteEndpoint {
     inner: Arc<Inner>,
-    reader: Mutex<Option<JoinHandle<()>>>,
-    heartbeat: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl RemoteEndpoint {
@@ -663,11 +636,6 @@ impl RemoteEndpoint {
         config: EndpointConfig,
     ) -> Result<RemoteEndpoint, RosgiError> {
         let transport: Arc<dyn Transport> = Arc::from(transport);
-        let calls = if config.legacy_invoke_path {
-            CallTable::legacy()
-        } else {
-            CallTable::new()
-        };
         let mut leases = LeaseTable::new();
         leases.set_ttl(config.lease_ttl);
         // Per-endpoint metrics, shared tracer: two endpoints configured
@@ -684,7 +652,8 @@ impl RemoteEndpoint {
             config,
             remote_peer: Mutex::new(String::new()),
             leases: Mutex::new(leases),
-            calls,
+            lease_order: Mutex::new(()),
+            calls: CallTable::new(),
             pool: BufferPool::new(),
             pending_fetches: Mutex::new(HashMap::new()),
             pending_pings: Mutex::new(HashMap::new()),
@@ -705,7 +674,6 @@ impl RemoteEndpoint {
             breaker,
             retry_budget,
             disconnect_reason: Mutex::new(DisconnectReason::None),
-            hb_stop: channel::bounded(4),
             done: (Mutex::new(false), Condvar::new()),
             counters,
             obs,
@@ -740,6 +708,7 @@ impl RemoteEndpoint {
             // this listener would otherwise be missed forever: re-announce
             // the full lease once. Cheap — every entry shares the
             // registration's Arc-backed interfaces and properties.
+            let _order = inner.lease_order.lock();
             inner.send(&Message::Lease {
                 services: inner.exportable_services(),
             })?;
@@ -780,64 +749,19 @@ impl RemoteEndpoint {
         }
 
         // --- frame delivery ---
-        // Sink mode: a reactor-backed transport delivers frames as poller
-        // callbacks and the endpoint keeps *no* per-connection thread —
-        // the fixed I/O core budget serves every connection. Frames that
-        // arrived since the handshake are drained into the sink in order.
-        // Transports without a reactor keep the dedicated reader thread.
-        // Heavy service handlers in sink mode should be paired with a
-        // [`ServeQueue`], which hops invocations off the poller thread.
-        let delivery_wire = inner.wire();
-        let sink_mode = delivery_wire.set_sink(Box::new(EndpointSink {
-            inner: Arc::downgrade(&inner),
-            wire: Arc::clone(&delivery_wire),
-        }));
-        drop(delivery_wire);
-        let reader = if sink_mode {
-            None
-        } else {
-            let reader_inner = Arc::clone(&inner);
-            Some(
-                std::thread::Builder::new()
-                    .name(format!("rosgi-{}", inner.config.peer_name))
-                    .spawn(move || reader_loop(reader_inner))
-                    .expect("spawn reader thread"),
-            )
-        };
+        // The transport's delivery thread (reactor poller or in-memory
+        // pump) calls the sink; frames that arrived since the handshake
+        // are drained into it in order. Heavy service handlers behind a
+        // reactor-backed wire should be paired with a [`ServeQueue`],
+        // which hops invocations off the poller thread.
+        install_delivery(&inner);
 
         // --- heartbeat (opt-in) ---
-        // Sink-mode endpoints (and any endpoint configured with a wheel)
-        // tick on a shared timer wheel: one thread drives every heartbeat
-        // and lease TTL in the process. Otherwise a dedicated thread
-        // keeps the original blocking probe loop.
-        let heartbeat = match inner.config.heartbeat {
-            Some(hb) if sink_mode || inner.config.timer.is_some() => {
-                let wheel = inner
-                    .config
-                    .timer
-                    .clone()
-                    .unwrap_or_else(|| Reactor::global().timer().clone());
-                start_wheel_heartbeat(&inner, hb, wheel);
-                None
-            }
-            Some(hb) => {
-                let hb_inner = Arc::clone(&inner);
-                let stop = inner.hb_stop.1.clone();
-                Some(
-                    std::thread::Builder::new()
-                        .name(format!("rosgi-hb-{}", inner.config.peer_name))
-                        .spawn(move || heartbeat_loop(hb_inner, hb, stop))
-                        .expect("spawn heartbeat thread"),
-                )
-            }
-            None => None,
-        };
+        if let Some(hb) = inner.config.heartbeat {
+            start_heartbeat(&inner, hb);
+        }
 
-        Ok(RemoteEndpoint {
-            inner,
-            reader: Mutex::new(reader),
-            heartbeat: Mutex::new(heartbeat),
-        })
+        Ok(RemoteEndpoint { inner })
     }
 
     /// The peer's advertised name.
@@ -942,8 +866,9 @@ impl RemoteEndpoint {
     /// Subscribes to health transitions; returns a token for
     /// [`RemoteEndpoint::remove_health_listener`].
     ///
-    /// Listeners run synchronously on the heartbeat or reader thread —
-    /// keep them quick and do not call back into the endpoint from one
+    /// Listeners run synchronously on the timer-wheel, delivery or
+    /// teardown thread — keep them quick and do not call back into the
+    /// endpoint from one
     /// (push into a channel instead).
     pub fn on_health(&self, f: impl Fn(HealthEvent) + Send + Sync + 'static) -> u64 {
         self.inner.health.subscribe(f)
@@ -1326,30 +1251,21 @@ impl RemoteEndpoint {
     }
 
     /// Closes the connection: sends `Bye`, uninstalls all proxy bundles,
-    /// and releases listeners. Idempotent.
+    /// and releases listeners. Idempotent. The teardown is complete on
+    /// return — also when the wire-down path got to run it first — but
+    /// the transport's delivery thread is not joined: it may still be
+    /// observing the close.
     pub fn close(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.record_disconnect(DisconnectReason::LocalClose);
         let _ = self.inner.send(&Message::Bye);
-        let _ = self.inner.hb_stop.0.send(());
         self.inner.wire().close();
         self.inner.cleanup();
-        if let Some(handle) = self.heartbeat.lock().take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.reader.lock().take() {
-            let _ = handle.join();
-        }
+        self.join();
     }
 
     /// Blocks until the connection ends (used by server accept loops).
     pub fn join(&self) {
-        if let Some(handle) = self.reader.lock().take() {
-            let _ = handle.join();
-            return;
-        }
-        // Sink mode (no reader thread), or a repeat join: wait for
-        // cleanup to signal completion.
         let (flag, cv) = &self.inner.done;
         let mut done = flag.lock();
         while !*done {
@@ -1371,12 +1287,8 @@ impl fmt::Debug for RemoteEndpoint {
 impl Drop for RemoteEndpoint {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.inner.hb_stop.0.send(());
         self.inner.wire().close();
         self.inner.cleanup();
-        // Do not join the reader here: Drop may run on the reader thread's
-        // panic path in tests; the thread exits on its own once the
-        // transport is closed.
     }
 }
 
@@ -1529,16 +1441,12 @@ impl Inner {
     }
 
     fn send(&self, msg: &Message) -> Result<(), RosgiError> {
-        if self.config.legacy_invoke_path {
-            return self.send_frame(msg.encode());
-        }
-        let mut w = ByteWriter::with_pool(&self.pool);
-        msg.encode_into(&mut w);
-        self.send_frame(w.into_bytes())
+        self.send_on(&self.wire(), msg)
     }
 
-    /// Like [`Inner::send`] but over an explicit transport (used by the
-    /// handshake, which must not race with a concurrent wire swap).
+    /// Encodes `msg` into a pooled buffer and sends it over an explicit
+    /// transport (the handshake must not race with a concurrent wire
+    /// swap).
     fn send_on(&self, wire: &Arc<dyn Transport>, msg: &Message) -> Result<(), RosgiError> {
         let mut w = ByteWriter::with_pool(&self.pool);
         msg.encode_into(&mut w);
@@ -1618,14 +1526,15 @@ impl Inner {
         } else {
             self.counters.shed_expired.inc();
         }
-        let result: CallResult = Err(ServiceCallError::DeadlineExceeded);
-        if self.config.legacy_invoke_path {
-            let _ = self.send(&Message::Response { call_id, result });
-        } else {
-            let mut w = ByteWriter::with_pool(&self.pool);
-            Message::encode_response(&mut w, call_id, &result);
-            let _ = self.send_frame(w.into_bytes());
-        }
+        self.respond(call_id, &Err(ServiceCallError::DeadlineExceeded));
+    }
+
+    /// Encodes the response borrowed — the result is written into a
+    /// pooled buffer without moving it into a `Message` — and sends it.
+    fn respond(&self, call_id: u64, result: &CallResult) {
+        let mut w = ByteWriter::with_pool(&self.pool);
+        Message::encode_response(&mut w, call_id, result);
+        let _ = self.send_frame(w.into_bytes());
     }
 
     /// Records why the wire went down. The first cause per outage wins
@@ -1658,7 +1567,7 @@ impl Inner {
             .unwrap_or(false)
     }
 
-    /// The wire just died (reader observed recv failure). Fail everything
+    /// The wire just died (the sink saw `on_close`). Fail everything
     /// waiting on it, but keep proxies and leases: a reconnect may revive
     /// them. `cleanup()` does the full teardown if reconnection is not
     /// configured or gives up.
@@ -1792,12 +1701,10 @@ impl Inner {
 
     /// Fires an invocation and returns the handle to its pending reply.
     ///
-    /// On the fast path the `Invoke` frame is encoded *borrowed* — the
-    /// interface name, method name, and argument slice are written
-    /// straight into a pooled wire buffer, never cloned into an owned
-    /// [`Message`] — and the waiter is a recycled call slot from the
-    /// sharded table. The legacy path reproduces the original costs for
-    /// benchmark comparison.
+    /// The `Invoke` frame is encoded *borrowed* — the interface name,
+    /// method name, and argument slice are written straight into a
+    /// pooled wire buffer, never cloned into an owned [`Message`] — and
+    /// the waiter is a recycled call slot from the sharded table.
     fn invoke_async_inner(
         self: &Arc<Self>,
         interface: &str,
@@ -1848,19 +1755,9 @@ impl Inner {
         let trace = span.ctx();
         let started = trace.map(|_| Instant::now());
         span.set_with("interface", || interface.to_owned());
-        let sent = if self.config.legacy_invoke_path {
-            self.send(&Message::Invoke {
-                call_id,
-                interface: interface.to_owned(),
-                method: method.to_owned(),
-                args: args.to_vec(),
-            })
-        } else {
-            let mut w = ByteWriter::with_pool(&self.pool);
-            Message::encode_invoke(&mut w, call_id, interface, method, args, trace, deadline_ms);
-            self.send_frame(w.into_bytes())
-        };
-        if sent.is_err() {
+        let mut w = ByteWriter::with_pool(&self.pool);
+        Message::encode_invoke(&mut w, call_id, interface, method, args, trace, deadline_ms);
+        if self.send_frame(w.into_bytes()).is_err() {
             self.calls.cancel(call_id);
             self.calls.recycle(call_id, slot);
             // A failed send is wire-level evidence, same as a timeout.
@@ -1896,6 +1793,7 @@ impl Inner {
                 removed: vec![reference.id().as_raw()],
             },
         };
+        let _order = self.lease_order.lock();
         let _ = self.send(&msg);
     }
 
@@ -2000,12 +1898,9 @@ impl Inner {
                     ))));
                 }
             }
-            Message::Invoke {
-                call_id,
-                interface,
-                method,
-                args,
-            } => self.dispatch_invoke(call_id, interface, method, args, None, None),
+            // Served straight off the frame bytes in `process_frame`;
+            // an `Invoke` never takes the owned decode that leads here.
+            Message::Invoke { .. } => {}
             Message::Response { call_id, result } => {
                 if matches!(result, Err(ServiceCallError::Busy { .. })) {
                     self.counters.busy_received.inc();
@@ -2073,31 +1968,30 @@ impl Inner {
     }
 
     /// Routes one incoming invocation either inline (no serve queue
-    /// configured — the endpoint's historical behaviour) or through the
-    /// bounded [`ServeQueue`]. A queue rejection answers the caller with
-    /// [`ServiceCallError::Busy`] *without executing the call*, which is
-    /// what makes the caller's unconditional retry of `Busy` safe; an
-    /// expired or unmeetable propagated deadline is answered with
-    /// `DeadlineExceeded` under the same never-executed guarantee.
-    fn dispatch_invoke(
-        self: &Arc<Self>,
-        call_id: u64,
-        interface: String,
-        method: String,
-        args: Vec<Value>,
-        trace: Option<SpanCtx>,
-        deadline: Option<Instant>,
-    ) {
+    /// configured: interface and method stay borrowed from the frame) or
+    /// through the bounded [`ServeQueue`]. A queue rejection answers the
+    /// caller with [`ServiceCallError::Busy`] *without executing the
+    /// call*, which is what makes the caller's unconditional retry of
+    /// `Busy` safe; an expired or unmeetable propagated deadline is
+    /// answered with `DeadlineExceeded` under the same never-executed
+    /// guarantee.
+    fn dispatch_invoke(self: &Arc<Self>, inv: BorrowedInvoke<'_>) {
+        let (call_id, trace) = (inv.call_id, inv.trace);
         let Some(queue) = &self.config.serve_queue else {
-            // Inline serving still honors the caller's deadline: an
-            // expired call is answered, never executed.
-            if deadline.is_some_and(|d| remaining_budget_ms(d).is_none()) {
-                self.shed_deadline(call_id, false);
-                return;
-            }
-            self.serve_and_respond(call_id, &interface, &method, &args, trace);
+            self.serve_and_respond(call_id, inv.interface, inv.method, &inv.args, trace);
             return;
         };
+        // Rebase the caller's relative budget onto the local clock at
+        // arrival: from here on the queue ages it.
+        let deadline = inv
+            .deadline_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms));
+        // Queued serving needs owned strings — the job outlives the frame
+        // the names are borrowed from. Only this (opted-in) path pays the
+        // copy; the args are already owned and move for free.
+        let interface = inv.interface.to_owned();
+        let method = inv.method.to_owned();
+        let args = inv.args;
         let peer = self.remote_peer.lock().clone();
         let this = Arc::clone(self);
         let job = Box::new(move || {
@@ -2119,24 +2013,18 @@ impl Inner {
             }
             SubmitOutcome::Busy => {
                 self.counters.busy_sent.inc();
-                let result: CallResult = Err(ServiceCallError::Busy {
-                    retry_after_ms: queue.retry_after_ms(),
-                });
-                if self.config.legacy_invoke_path {
-                    let _ = self.send(&Message::Response { call_id, result });
-                } else {
-                    let mut w = ByteWriter::with_pool(&self.pool);
-                    Message::encode_response(&mut w, call_id, &result);
-                    let _ = self.send_frame(w.into_bytes());
-                }
+                self.respond(
+                    call_id,
+                    &Err(ServiceCallError::Busy {
+                        retry_after_ms: queue.retry_after_ms(),
+                    }),
+                );
             }
         }
     }
 
-    /// Serves a peer's invocation against the local registry.
-    /// Serves one incoming invocation and sends the response frame. Used
-    /// by both the owned [`Message::Invoke`] arm and the borrowed
-    /// fast-path decode in the reader loop. `trace` is the caller's
+    /// Serves one incoming invocation against the local registry and
+    /// sends the response frame. `trace` is the caller's
     /// wire-propagated span context: when present (and tracing is on
     /// here) the serve span joins the caller's trace as a child of its
     /// `rpc:` span — one connected tree across both endpoints.
@@ -2157,15 +2045,7 @@ impl Inner {
         }
         span.set("outcome", if result.is_ok() { "ok" } else { "error" });
         drop(span);
-        if self.config.legacy_invoke_path {
-            let _ = self.send(&Message::Response { call_id, result });
-        } else {
-            // Encode the response borrowed: the result is written into a
-            // pooled buffer without moving it into a `Message`.
-            let mut w = ByteWriter::with_pool(&self.pool);
-            Message::encode_response(&mut w, call_id, &result);
-            let _ = self.send_frame(w.into_bytes());
-        }
+        self.respond(call_id, &result);
     }
 
     fn serve_invoke(
@@ -2257,7 +2137,6 @@ impl Inner {
             return;
         }
         self.health.transition(HealthState::Disconnected);
-        let _ = self.hb_stop.0.send(());
         // Stop watching the local registry and event bus.
         if let Some(listener) = self.registry_listener.lock().take() {
             self.framework.registry().remove_listener(listener);
@@ -2292,7 +2171,7 @@ impl Inner {
     }
 
     /// Purges lease entries whose TTL elapsed and uninstalls their
-    /// proxies. Runs on every heartbeat tick, thread- or wheel-driven.
+    /// proxies. Runs on every heartbeat tick.
     fn purge_expired_leases(&self) {
         let expired = self.leases.lock().purge_expired(Instant::now());
         for entry in expired {
@@ -2418,100 +2297,44 @@ fn run_handshake(
     ))
 }
 
-/// Background heartbeat: probes the peer, drives the health state
-/// machine, renews leases on proof of life, and purges expired entries.
-/// Declares the wire dead (by closing it, which wakes the reader) after
-/// `disconnected_after` consecutive misses — the reader then owns
-/// reconnection.
-fn heartbeat_loop(inner: Arc<Inner>, hb: HeartbeatConfig, stop: Receiver<()>) {
-    let mut misses = 0u32;
-    loop {
-        match stop.recv_timeout(hb.interval) {
-            Err(RecvTimeoutError::Timeout) => {}
-            _ => return, // explicit stop, or the endpoint is gone
-        }
-        if inner.closed.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Lease housekeeping runs every tick, probe or not: entries the
-        // peer stopped renewing are purged and their proxies uninstalled,
-        // so "an AlfredO client does not store outdated data over time".
-        inner.purge_expired_leases();
-        if inner.health.state() == HealthState::Disconnected {
-            // The reader owns reconnection; probing a dead wire is noise.
-            continue;
-        }
-        inner.counters.heartbeats_sent.inc();
-        // An Open circuit whose cooldown elapsed admits one half-open
-        // probe; the regular heartbeat ping doubles as that probe, so
-        // recovery costs no extra wire traffic.
-        inner.breaker.try_probe();
-        match inner.ping_inner(hb.timeout) {
-            Ok(_) => {
-                inner.breaker.probe_succeeded();
-                misses = 0;
-                inner.leases.lock().renew_all(Instant::now());
-                inner
-                    .health
-                    .transition_from(HealthState::Degraded, HealthState::Healthy);
-            }
-            Err(RosgiError::Transport(TransportError::Timeout)) => {
-                inner.breaker.probe_failed();
-                misses += 1;
-                inner.counters.heartbeats_missed.inc();
-                if misses >= hb.disconnected_after {
-                    inner.record_disconnect(DisconnectReason::HeartbeatTimeout);
-                    // Closing the wire wakes the blocked reader, which
-                    // runs the disconnect + reconnect path.
-                    inner.wire().close();
-                    misses = 0;
-                } else if misses >= hb.degraded_after {
-                    inner
-                        .health
-                        .transition_from(HealthState::Healthy, HealthState::Degraded);
-                }
-            }
-            Err(_) => {
-                // Send failed: the wire is already down and the reader is
-                // handling it; nothing for the heartbeat to declare.
-            }
-        }
-        inner.sync_breaker_gauge();
-    }
-}
-
-/// The wheel-driven heartbeat: the same state machine as
-/// [`heartbeat_loop`], unrolled into non-blocking ticks so one shared
-/// timer thread can drive every endpoint in the process. Instead of
-/// blocking `hb.timeout` on each probe, a tick launches the probe and a
-/// later tick harvests it — miss detection is quantized to the tick
-/// interval, which is exactly the resolution the thread loop had (one
-/// probe per interval).
+/// The heartbeat: probes the peer, drives the health state machine,
+/// renews leases on proof of life, and purges expired entries — as
+/// non-blocking ticks so the one shared timer thread can drive every
+/// endpoint in the process. A tick launches the probe and a later tick
+/// harvests it, so miss detection is quantized to the tick interval.
+/// After `disconnected_after` consecutive misses it declares the wire
+/// dead by closing it; the sink's close path then owns reconnection.
 struct HbTick {
     inner: Weak<Inner>,
-    wheel: TimerWheel,
     hb: HeartbeatConfig,
     misses: u32,
     /// Outstanding probe: nonce, pong waiter, send time.
     pending: Option<(u64, Receiver<()>, Instant)>,
 }
 
-fn start_wheel_heartbeat(inner: &Arc<Inner>, hb: HeartbeatConfig, wheel: TimerWheel) {
-    let tick = HbTick {
+fn start_heartbeat(inner: &Arc<Inner>, hb: HeartbeatConfig) {
+    HbTick {
         inner: Arc::downgrade(inner),
-        wheel: wheel.clone(),
         hb,
         misses: 0,
         pending: None,
-    };
-    wheel.schedule(hb.interval, Box::new(move || tick.run()));
+    }
+    .arm();
 }
 
 impl HbTick {
+    /// Schedules the next tick on the reactor's timer wheel.
+    fn arm(self) {
+        let interval = self.hb.interval;
+        Reactor::global()
+            .timer()
+            .schedule(interval, Box::new(move || self.run()));
+    }
+
     /// One heartbeat tick. Runs on the wheel thread (a reactor thread —
-    /// sends never block), then re-arms itself unless the endpoint is
-    /// gone. Holding only a `Weak` means a dropped endpoint stops
-    /// ticking within one interval.
+    /// sends never block on the outbox cap), then re-arms itself unless
+    /// the endpoint is gone. Holding only a `Weak` means a dropped
+    /// endpoint stops ticking within one interval.
     fn run(mut self) {
         let Some(inner) = self.inner.upgrade() else {
             return;
@@ -2522,6 +2345,9 @@ impl HbTick {
             }
             return;
         }
+        // Lease housekeeping runs every tick, probe or not: entries the
+        // peer stopped renewing are purged and their proxies uninstalled,
+        // so "an AlfredO client does not store outdated data over time".
         inner.purge_expired_leases();
 
         // Harvest the outstanding probe, if any.
@@ -2582,10 +2408,8 @@ impl HbTick {
         }
 
         inner.sync_breaker_gauge();
-        let wheel = self.wheel.clone();
-        let interval = self.hb.interval;
         drop(inner);
-        wheel.schedule(interval, Box::new(move || self.run()));
+        self.arm();
     }
 }
 
@@ -2593,7 +2417,7 @@ impl HbTick {
 /// the endpoint is healthy again, `false` when every attempt failed or an
 /// orderly shutdown intervened.
 fn try_reconnect(inner: &Arc<Inner>, rc: &ReconnectConfig) -> bool {
-    // Runs on the reader thread: parent explicitly under whatever span
+    // Runs on a teardown thread: parent explicitly under whatever span
     // was current when the endpoint was established, so reconnects show
     // up inside the interaction's trace.
     let mut span = inner.obs.child_of(inner.conn_ctx, "reconnect");
@@ -2631,10 +2455,8 @@ fn try_reconnect(inner: &Arc<Inner>, rc: &ReconnectConfig) -> bool {
     false
 }
 
-/// Handles one received frame: counters, the borrowed-invoke fast path,
-/// owned decode + dispatch for everything else. Shared by the reader
-/// thread and the reactor sink. On an undecodable frame it closes `wire`
-/// and returns why.
+/// Handles one received frame: counters, then decode + dispatch. On an
+/// undecodable frame it closes `wire` and returns why.
 fn process_frame(
     inner: &Arc<Inner>,
     wire: &Arc<dyn Transport>,
@@ -2642,86 +2464,39 @@ fn process_frame(
 ) -> Result<(), DisconnectReason> {
     inner.counters.frames_received.inc();
     inner.counters.bytes_received.add(frame.len() as u64);
-    // Invocations — the hot frame type — are served straight off
-    // the frame bytes: interface and method stay borrowed, no
-    // `Message` is materialized. Everything else takes the owned
-    // decode below.
-    if !inner.config.legacy_invoke_path && Message::is_invoke(&frame) {
-        match Message::decode_invoke_borrowed(&frame) {
-            Ok(mut inv) => {
-                if inner.config.serve_queue.is_some() {
-                    // Queued serving needs owned strings — the job
-                    // outlives the frame the names are borrowed
-                    // from. Only this (opted-in) path pays the copy;
-                    // the args are already owned and move for free.
-                    let (call_id, trace) = (inv.call_id, inv.trace);
-                    // Rebase the caller's relative budget onto the local
-                    // clock at arrival: from here on the queue ages it.
-                    let deadline = inv
-                        .deadline_ms
-                        .map(|ms| Instant::now() + Duration::from_millis(ms));
-                    let interface = inv.interface.to_owned();
-                    let method = inv.method.to_owned();
-                    let args = std::mem::take(&mut inv.args);
-                    drop(inv);
-                    inner.dispatch_invoke(call_id, interface, method, args, trace, deadline);
-                } else {
-                    inner.serve_and_respond(
-                        inv.call_id,
-                        inv.interface,
-                        inv.method,
-                        &inv.args,
-                        inv.trace,
-                    );
-                    drop(inv);
-                }
-                inner.pool.give(frame);
-                return Ok(());
-            }
-            Err(e) => {
-                inner
-                    .framework
-                    .emit_framework(alfredo_osgi::FrameworkEvent::Error {
-                        bundle: None,
-                        message: format!("undecodable frame from peer: {e}"),
-                    });
-                wire.close();
-                return Err(DisconnectReason::CorruptFrame);
-            }
-        }
-    }
-    let decoded = Message::decode(&frame);
-    // Decoding produced an owned message, so the frame's
-    // allocation can immediately back a future outgoing frame.
-    // Under steady request/response traffic this is what makes
-    // the send path allocation-free: each side recycles what it
-    // receives.
-    if !inner.config.legacy_invoke_path {
+    // Either way the frame's allocation goes back to the pool to back a
+    // future outgoing frame. Under steady request/response traffic this
+    // is what makes the send path allocation-free: each side recycles
+    // what it receives.
+    let handled = if Message::is_invoke(&frame) {
+        // Invocations — the hot frame type — are served straight off
+        // the frame bytes: interface and method stay borrowed, no
+        // `Message` is materialized.
+        let served = Message::decode_invoke_borrowed(&frame).map(|inv| inner.dispatch_invoke(inv));
         inner.pool.give(frame);
-    }
-    match decoded {
-        Ok(msg) => {
-            inner.handle_message(msg);
-            Ok(())
-        }
-        Err(e) => {
-            // Protocol corruption: fail fast, close the link.
-            inner
-                .framework
-                .emit_framework(alfredo_osgi::FrameworkEvent::Error {
-                    bundle: None,
-                    message: format!("undecodable frame from peer: {e}"),
-                });
-            wire.close();
-            Err(DisconnectReason::CorruptFrame)
-        }
-    }
+        served
+    } else {
+        let decoded = Message::decode(&frame);
+        inner.pool.give(frame);
+        decoded.map(|msg| inner.handle_message(msg))
+    };
+    handled.map_err(|e| {
+        // Protocol corruption: fail fast, close the link.
+        inner
+            .framework
+            .emit_framework(alfredo_osgi::FrameworkEvent::Error {
+                bundle: None,
+                message: format!("undecodable frame from peer: {e}"),
+            });
+        wire.close();
+        DisconnectReason::CorruptFrame
+    })
 }
 
-/// Reactor-driven frame delivery: poller callbacks replace the
-/// per-connection reader thread. Everything here must stay non-blocking
-/// (it runs on a poller thread serving many connections), so teardown
-/// and reconnection hop to a short-lived thread.
+/// Frame delivery: the transport's delivery thread calls in here.
+/// Everything must stay non-blocking (a reactor poller serves many
+/// connections), so teardown and reconnection hop to a short-lived
+/// thread.
 struct EndpointSink {
     inner: Weak<Inner>,
     wire: Arc<dyn Transport>,
@@ -2752,21 +2527,28 @@ impl FrameSink for EndpointSink {
             // first-cause-wins keeps it.
             _ => DisconnectReason::TransportClosed,
         });
-        std::thread::Builder::new()
+        let down = Arc::clone(&inner);
+        let spawned = std::thread::Builder::new()
             .name(format!("rosgi-down-{}", inner.config.peer_name))
-            .spawn(move || wire_down_sink(inner))
-            .expect("spawn endpoint teardown thread");
+            .spawn(move || wire_down(down));
+        if spawned.is_err() {
+            // No thread to reconnect on, and a panic here would take the
+            // poller and every connection on it down: tear down inline.
+            inner.on_wire_down();
+            inner.cleanup();
+        }
     }
 }
 
-/// Sink-mode continuation of a dead wire, off the poller thread:
-/// reconnect if configured, full teardown otherwise. The thread lives
-/// only for the outage — sink mode keeps nothing parked per connection.
-fn wire_down_sink(inner: Arc<Inner>) {
+/// Continuation of a dead wire, off the delivery thread: reconnect if
+/// configured, full teardown otherwise. The thread lives only for the
+/// outage — nothing stays parked per connection.
+fn wire_down(inner: Arc<Inner>) {
     inner.on_wire_down();
     if !inner.shutdown.load(Ordering::SeqCst) && !inner.closed.load(Ordering::SeqCst) {
         if let Some(rc) = inner.config.reconnect.clone() {
-            if try_reconnect(&inner, &rc) && install_delivery(&inner) {
+            if try_reconnect(&inner, &rc) && !inner.closed.load(Ordering::SeqCst) {
+                install_delivery(&inner);
                 return;
             }
         }
@@ -2774,69 +2556,13 @@ fn wire_down_sink(inner: Arc<Inner>) {
     inner.cleanup();
 }
 
-/// Arms frame delivery on the endpoint's current wire: a reactor sink if
-/// the transport supports one, else a detached reader thread (`join`
-/// waits on `done`, not the thread). Returns `false` if delivery could
-/// not be armed.
-fn install_delivery(inner: &Arc<Inner>) -> bool {
-    if inner.closed.load(Ordering::SeqCst) {
-        return false;
-    }
+/// Arms frame delivery on the endpoint's current wire.
+fn install_delivery(inner: &Arc<Inner>) {
     let wire = inner.wire();
-    let sink = EndpointSink {
+    wire.set_sink(Box::new(EndpointSink {
         inner: Arc::downgrade(inner),
         wire: Arc::clone(&wire),
-    };
-    if !wire.set_sink(Box::new(sink)) {
-        let reader_inner = Arc::clone(inner);
-        let spawned = std::thread::Builder::new()
-            .name(format!("rosgi-{}", inner.config.peer_name))
-            .spawn(move || reader_loop(reader_inner));
-        if spawned.is_err() {
-            return false;
-        }
-    }
-    true
-}
-
-fn reader_loop(inner: Arc<Inner>) {
-    // Outer loop: one iteration per wire. The inner loop pumps frames
-    // until recv fails, yielding why the wire died; with reconnection
-    // configured (and no orderly shutdown) a fresh wire is dialed and the
-    // pump restarts — in-flight calls fail fast, installed proxies
-    // survive and are re-bound to the new wire in place.
-    'connection: loop {
-        let wire = inner.wire();
-        let why = loop {
-            let frame = match wire.recv() {
-                Ok(f) => f,
-                Err(_) => {
-                    break match wire.close_reason() {
-                        CloseReason::CorruptStream => DisconnectReason::CorruptStream,
-                        // `Local` closes record their own (more precise)
-                        // reason at the closing site: Bye, close(), or the
-                        // heartbeat; first-cause-wins keeps it.
-                        _ => DisconnectReason::TransportClosed,
-                    };
-                }
-            };
-            if let Err(why) = process_frame(&inner, &wire, frame) {
-                break why;
-            }
-        };
-        inner.record_disconnect(why);
-        inner.on_wire_down();
-        if inner.shutdown.load(Ordering::SeqCst) || inner.closed.load(Ordering::SeqCst) {
-            break 'connection;
-        }
-        if let Some(rc) = inner.config.reconnect.clone() {
-            if try_reconnect(&inner, &rc) {
-                continue 'connection;
-            }
-        }
-        break 'connection;
-    }
-    inner.cleanup();
+    }));
 }
 
 #[cfg(test)]

@@ -98,8 +98,9 @@ type Listener = Arc<dyn Fn(HealthEvent) + Send + Sync>;
 /// Tracks a [`HealthState`] and notifies subscribers of transitions.
 ///
 /// Listeners run synchronously on the thread performing the transition
-/// (the heartbeat or reader thread), so they must be quick and must not
-/// call back into the endpoint — push into a channel and drain elsewhere.
+/// (the timer wheel, a delivery thread or a teardown thread), so they
+/// must be quick and must not call back into the endpoint — push into a
+/// channel and drain elsewhere.
 #[derive(Default)]
 pub struct HealthMonitor {
     state: Mutex<HealthState>,
@@ -200,12 +201,9 @@ impl fmt::Debug for HealthMonitor {
 /// reconnection when configured). A successful ping clears the miss count,
 /// renews the lease table, and restores [`HealthState::Healthy`].
 ///
-/// Two drivers implement this contract: a dedicated thread per endpoint
-/// (channel transports), or non-blocking ticks on a shared timer wheel
-/// (reactor-backed transports, or any endpoint configured with
-/// `EndpointConfig::with_timer_wheel`). On the wheel, miss detection is
-/// quantized to `interval` — each tick launches or harvests one probe —
-/// which matches the thread driver's one-probe-per-interval cadence.
+/// The heartbeat runs as non-blocking ticks on the reactor's shared
+/// timer wheel, whatever the transport: each tick launches or harvests
+/// one probe, so miss detection is quantized to `interval`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeartbeatConfig {
     /// Time between probes.
@@ -355,8 +353,8 @@ struct BreakerInner {
 ///
 /// While Open every invoke fast-fails locally — no frame is sent, no
 /// retry is burned — so a fleet of phones stops hammering a dead or
-/// drowning device. Recovery is driven by the heartbeat (wheel tick or
-/// heartbeat thread): once the cooldown elapses [`CircuitBreaker::try_probe`]
+/// drowning device. Recovery is driven by the heartbeat tick: once the
+/// cooldown elapses [`CircuitBreaker::try_probe`]
 /// admits exactly one probe, and [`CircuitBreaker::probe_succeeded`] /
 /// [`CircuitBreaker::probe_failed`] close or re-open the circuit.
 ///

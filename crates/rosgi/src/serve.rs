@@ -1,13 +1,15 @@
 //! The serving side's bounded work queue and worker pool.
 //!
 //! Without a queue, every endpoint serves incoming invocations inline on
-//! its reader thread — fine for one phone per connection, but a device
-//! with many phones gets no parallelism within a connection and no bound
-//! on queued work. A [`ServeQueue`] gives the device:
+//! its transport's delivery thread (a reactor poller shared with other
+//! connections, or an in-memory wire's pump) — fine for one phone per
+//! connection, but a device with many phones gets no parallelism within
+//! a connection and no bound on queued work. A [`ServeQueue`] gives the
+//! device:
 //!
 //! * **A worker pool** — N workers drain invocations concurrently, so
-//!   slow service methods from one call don't block the reader (the
-//!   reader keeps pumping leases, pings, and stream frames).
+//!   slow service methods from one call don't block delivery (leases,
+//!   pings, and stream frames keep flowing).
 //! * **Explicit backpressure** — the queue is bounded per peer and in
 //!   total. A rejected invocation is answered with
 //!   [`alfredo_osgi::ServiceCallError::Busy`] carrying a retry-after

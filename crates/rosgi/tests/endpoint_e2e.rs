@@ -77,6 +77,15 @@ fn connect(net: &InMemoryNetwork, from: &str, to: &str) -> (Framework, RemoteEnd
     (fw, ep)
 }
 
+/// Frames are ordered in each direction and handled in order, so once a
+/// ping has come back the peer has handled everything this side sent
+/// before it, and this side has handled everything the peer sent before
+/// the pong — including what the peer's `establish` sends before it
+/// starts answering pings.
+fn barrier(ep: &RemoteEndpoint) {
+    ep.ping(Duration::from_secs(5)).expect("ping barrier");
+}
+
 #[test]
 fn handshake_exchanges_symmetric_leases() {
     let net = InMemoryNetwork::new();
@@ -207,26 +216,27 @@ fn peer_disconnect_maps_to_service_unregistration() {
     ep.fetch_service("demo.Adder").unwrap();
 
     // Watch for the unregistration event on the phone.
-    let unregistered = Arc::new(AtomicUsize::new(0));
-    let u = Arc::clone(&unregistered);
+    let (unregistered_tx, unregistered) = std::sync::mpsc::channel();
     phone_fw.registry().add_listener(None, move |e| {
         if matches!(e, alfredo_osgi::ServiceEvent::Unregistering(_)) {
-            u.fetch_add(1, Ordering::SeqCst);
+            let _ = unregistered_tx.send(());
         }
     });
 
     // The *device* closes the connection.
     device_ep.close();
 
-    // The phone's reader notices and sweeps the proxy.
-    for _ in 0..100 {
-        if phone_fw.registry().get_service("demo.Adder").is_none() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // The phone notices and sweeps the proxy; `join` returns once its
+    // teardown is complete.
+    unregistered
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the phone sees the proxy service unregister");
+    ep.join();
     assert!(phone_fw.registry().get_service("demo.Adder").is_none());
-    assert_eq!(unregistered.load(Ordering::SeqCst), 1);
+    assert!(
+        unregistered.try_recv().is_err(),
+        "exactly one unregistration"
+    );
 }
 
 #[test]
@@ -244,28 +254,20 @@ fn lease_updates_track_registry_changes() {
             Properties::new(),
         )
         .unwrap();
-    // The lease update arrives asynchronously.
-    let mut seen = false;
-    for _ in 0..100 {
-        if ep.remote_services().iter().any(|s| s.offers("demo.Late")) {
-            seen = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(seen, "late registration should appear in the lease");
+    // The lease update is on the wire ahead of the pong.
+    barrier(&ep);
+    assert!(
+        ep.remote_services().iter().any(|s| s.offers("demo.Late")),
+        "late registration should appear in the lease"
+    );
 
     // Unregister: it disappears.
     registration.unregister().unwrap();
-    let mut gone = false;
-    for _ in 0..100 {
-        if !ep.remote_services().iter().any(|s| s.offers("demo.Late")) {
-            gone = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(gone, "unregistration should drop from the lease");
+    barrier(&ep);
+    assert!(
+        !ep.remote_services().iter().any(|s| s.offers("demo.Late")),
+        "unregistration should drop from the lease"
+    );
     ep.close();
 }
 
@@ -292,12 +294,7 @@ fn remote_service_removal_uninstalls_proxy() {
 
     // Device unregisters the backing service.
     registration.unregister().unwrap();
-    for _ in 0..100 {
-        if phone_fw.registry().get_service("demo.Adder").is_none() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    barrier(&ep);
     assert!(
         phone_fw.registry().get_service("demo.Adder").is_none(),
         "proxy must be uninstalled when the remote service goes away"
@@ -455,8 +452,8 @@ fn events_forward_by_interest_without_loops() {
     )
     .unwrap();
 
-    // Give the device's endpoint a moment to process EventInterest.
-    std::thread::sleep(Duration::from_millis(50));
+    // The device has handled EventInterest and armed its forwarder.
+    barrier(&ep);
 
     // Device posts matching and non-matching events on its local bus.
     device_fw.event_admin().post(&Event::new(
@@ -467,12 +464,8 @@ fn events_forward_by_interest_without_loops() {
         .event_admin()
         .post(&Event::new("other/topic", Properties::new()));
 
-    for _ in 0..100 {
-        if received.load(Ordering::SeqCst) == 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // Whatever the device forwarded is ahead of the pong.
+    barrier(&ep);
     assert_eq!(
         received.load(Ordering::SeqCst),
         1,
@@ -494,12 +487,7 @@ fn explicit_send_event_reaches_peer_bus() {
     let (_fw, ep) = connect(&net, "phone", "dev-explicit");
     ep.send_event("ctrl/button", Properties::new().with("x", 7i64))
         .unwrap();
-    for _ in 0..100 {
-        if hits.load(Ordering::SeqCst) == 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    barrier(&ep);
     assert_eq!(hits.load(Ordering::SeqCst), 1);
     ep.close();
 }

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use alfredo_net::{InMemoryNetwork, PeerAddr, Transport, TransportError};
+use alfredo_net::{FrameSink, InMemoryNetwork, PeerAddr, Transport, TransportError};
 use alfredo_osgi::{
     FnService, Framework, MethodSpec, Properties, ServiceCallError, ServiceInterfaceDesc, TypeHint,
     Value,
@@ -70,6 +70,10 @@ impl Transport for DyingTransport {
     fn local_addr(&self) -> &PeerAddr {
         self.inner.local_addr()
     }
+
+    fn set_sink(&self, sink: Box<dyn FrameSink>) {
+        self.inner.set_sink(sink);
+    }
 }
 
 /// A transport wrapper that corrupts every frame it sends.
@@ -115,6 +119,10 @@ impl Transport for CorruptingTransport {
 
     fn local_addr(&self) -> &PeerAddr {
         self.inner.local_addr()
+    }
+
+    fn set_sink(&self, sink: Box<dyn FrameSink>) {
+        self.inner.set_sink(sink);
     }
 }
 
@@ -179,7 +187,7 @@ fn connection_death_mid_invoke_fails_cleanly() {
         ),
         "{err:?}"
     );
-    // The proxy is swept once the reader notices.
+    // The proxy is swept once the phone notices.
     for _ in 0..100 {
         if phone_fw.registry().get_service("t.Echo").is_none() {
             break;
@@ -226,6 +234,8 @@ fn handshake_version_mismatch_is_rejected() {
     let net = InMemoryNetwork::new();
     let listener = net.bind(PeerAddr::new("ver-1")).unwrap();
     // A fake peer speaking a future protocol version.
+    // Dropped when this test returns, which is what the peer waits for.
+    let (_gave_up, client_gave_up) = std::sync::mpsc::channel::<()>();
     std::thread::spawn(move || {
         let conn = listener.accept().unwrap();
         conn.send(
@@ -238,8 +248,11 @@ fn handshake_version_mismatch_is_rejected() {
         .unwrap();
         conn.send(Message::Lease { services: vec![] }.encode())
             .unwrap();
-        // Hold the connection open until the client gives up.
-        let _ = conn.recv_timeout(Duration::from_secs(2));
+        // Hold the connection open until the client gives up: closing it
+        // while the client is still sending its own half of the handshake
+        // would turn the version error into a transport one.
+        let _ = client_gave_up.recv_timeout(Duration::from_secs(5));
+        drop(conn);
     });
     let fw = Framework::new();
     let conn = net

@@ -154,26 +154,3 @@ fn buffer_pool_stabilizes_after_warmup() {
     assert!(steady.slots_reused >= 400, "{steady:?}");
     phone.close();
 }
-
-#[test]
-fn legacy_path_still_works_and_reports_no_pool_activity() {
-    let net = InMemoryNetwork::new();
-    let (_device_fw, _device) = spawn_device(&net, "dev-legacy");
-    let phone = connect(
-        &net,
-        "dev-legacy",
-        EndpointConfig::named("phone").with_legacy_invoke_path(),
-    );
-
-    for i in 0..50 {
-        let out = phone
-            .invoke("hammer.Echo", "add", &[Value::I64(i), Value::I64(2)])
-            .unwrap();
-        assert_eq!(out, Value::I64(i + 2));
-    }
-    let stats = phone.stats();
-    assert_eq!(stats.calls_sent, 50);
-    assert_eq!(stats.pool_hits, 0, "legacy path must not touch the pool");
-    assert_eq!(stats.slots_reused, 0, "legacy table must not reuse slots");
-    phone.close();
-}

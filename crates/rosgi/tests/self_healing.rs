@@ -153,7 +153,7 @@ fn heartbeat_degrades_disconnects_and_reconnects_rebinding_proxies() {
     let reference_before = phone_fw.registry().get_reference("t.Echo").unwrap();
 
     // Outage: the heartbeat must notice, degrade, and declare the wire
-    // dead; the reader then dials the replacement and re-handshakes.
+    // dead; the endpoint then dials the replacement and re-handshakes.
     partition.partition();
     assert!(
         wait_until(Duration::from_secs(5), || ep.health()

@@ -26,7 +26,7 @@ use alfredo_core::{
     room_update_topic, EndpointRoomSink, Room, RoomConfig, RoomDelta, RoomOp, RoomReplica,
     RoomSink, RoomUpdate,
 };
-use alfredo_net::{CloseReason, InMemoryNetwork, PeerAddr, Transport, TransportError};
+use alfredo_net::{CloseReason, FrameSink, InMemoryNetwork, PeerAddr, Transport, TransportError};
 use alfredo_osgi::{Framework, Value};
 use alfredo_rosgi::{EndpointConfig, Message, RemoteEndpoint, ServeQueue, ServeQueueConfig};
 
@@ -449,6 +449,9 @@ impl<T: Transport> Transport for TappedWire<T> {
     }
     fn local_addr(&self) -> &PeerAddr {
         self.wire.local_addr()
+    }
+    fn set_sink(&self, sink: Box<dyn FrameSink>) {
+        self.wire.set_sink(sink);
     }
 }
 
