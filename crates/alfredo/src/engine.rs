@@ -9,11 +9,12 @@
 //! [`AlfredOSession`].
 
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use alfredo_journal::{Journal, JournalConfig};
-use alfredo_net::{InMemoryNetwork, PeerAddr, Transport};
+use alfredo_net::{InMemoryNetwork, PeerAddr, Transport, TransportError};
 use alfredo_obs::{Obs, Span};
 use alfredo_osgi::Json;
 use alfredo_osgi::{CodeRegistry, Framework, Properties, Service, ServiceCallError, Value};
@@ -33,7 +34,7 @@ use alfredo_ui::{DeviceCapabilities, UiError, UiState};
 use crate::cache::{TierCache, DEFAULT_TIER_CACHE_BYTES};
 use crate::descriptor::{DescriptorError, ServiceDescriptor};
 use crate::policy::{ClientContext, DistributionPolicy, ThinClientPolicy};
-use crate::room::{room_clock_ms, RoomHub};
+use crate::room::{LeaseTick, RoomHub};
 use crate::security::{SecurityError, SecurityPolicy};
 use crate::session::AlfredOSession;
 use crate::tier::Placement;
@@ -55,6 +56,8 @@ pub enum EngineError {
     Call(ServiceCallError),
     /// The session journal could not be opened.
     Journal(String),
+    /// A served device's accept thread could not be started.
+    Spawn(String),
     /// A live tier migration could not run to completion; the message
     /// says which phase refused (see
     /// [`AlfredOSession::migrate_component`]).
@@ -73,6 +76,7 @@ impl fmt::Display for EngineError {
             EngineError::Security(e) => write!(f, "security policy violation: {e}"),
             EngineError::Call(e) => write!(f, "service call failed: {e}"),
             EngineError::Journal(e) => write!(f, "session journal error: {e}"),
+            EngineError::Spawn(e) => write!(f, "could not spawn {e}"),
             EngineError::Migration(e) => write!(f, "tier migration failed: {e}"),
         }
     }
@@ -321,7 +325,7 @@ impl fmt::Debug for EngineConfig {
 /// #     UiDescription::new("greeter").with_control(Control::button("hello", "Say hello")),
 /// # );
 /// # host_service(&device_fw, "demo.Greeter", greeter, &descriptor, None, Properties::new())?;
-/// # let device = serve_device(&net, device_fw, PeerAddr::new("screen"))?;
+/// # let device = Device::new(device_fw).serve(&net, PeerAddr::new("screen"))?;
 /// let engine = AlfredOEngine::new(
 ///     Framework::new(),
 ///     net,
@@ -411,7 +415,7 @@ impl AlfredOEngine {
     /// #     UiDescription::new("greeter").with_control(Control::button("hello", "Say hello")),
     /// # );
     /// # host_service(&device_fw, "demo.Greeter", greeter, &descriptor, None, Properties::new())?;
-    /// # let device = serve_device(&net, device_fw, PeerAddr::new("screen"))?;
+    /// # let device = Device::new(device_fw).serve(&net, PeerAddr::new("screen"))?;
     /// # let engine = AlfredOEngine::new(
     /// #     Framework::new(),
     /// #     net,
@@ -682,7 +686,7 @@ impl AlfredOConnection {
     /// #     Some(Binding::to("message")),
     /// # )]));
     /// # host_service(&device_fw, "demo.Greeter", greeter, &descriptor, None, Properties::new())?;
-    /// # let device = serve_device(&net, device_fw, PeerAddr::new("screen"))?;
+    /// # let device = Device::new(device_fw).serve(&net, PeerAddr::new("screen"))?;
     /// # let engine = AlfredOEngine::new(
     /// #     Framework::new(),
     /// #     net,
@@ -884,7 +888,7 @@ impl fmt::Debug for AlfredOConnection {
 ///     UiDescription::new("greeter").with_control(Control::button("hello", "Say hello")),
 /// );
 /// host_service(&device_fw, "demo.Greeter", greeter, &descriptor, None, Properties::new())?;
-/// let device = serve_device(&net, device_fw, PeerAddr::new("screen"))?;
+/// let device = Device::new(device_fw).serve(&net, PeerAddr::new("screen"))?;
 /// // ... phones connect and lease until:
 /// device.stop();
 /// # Ok(()) }
@@ -946,187 +950,197 @@ pub fn host_service(
         .register_service(&[interface], service, props)
 }
 
-/// A running target device: accepts connections until stopped.
-pub struct ServedDevice {
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    addr: PeerAddr,
-    /// The serve queue shared by this device's endpoints, when serving
-    /// queued ([`serve_device_queued`]); shut down with the device.
-    queue: Option<ServeQueue>,
-    /// The room hub driven by this device's accept loop, when serving
-    /// rooms ([`serve_device_rooms`]).
+/// A target device about to be served: its framework plus the four
+/// things a device may be given — an observability handle, a serve
+/// queue, a lease journal, a room hub — in any combination, on either
+/// listener. One accept loop serves them all.
+#[derive(Debug)]
+pub struct Device {
+    framework: Framework,
+    /// What every accepted endpoint is configured with.
+    config: EndpointConfig,
     hub: Option<Arc<RoomHub>>,
 }
 
-impl ServedDevice {
-    /// The address the device listens on.
-    pub fn addr(&self) -> &PeerAddr {
-        &self.addr
-    }
-
-    /// The device's serve queue, when serving queued.
-    pub fn queue(&self) -> Option<&ServeQueue> {
-        self.queue.as_ref()
-    }
-
-    /// The device's room hub, when serving rooms.
-    pub fn rooms(&self) -> Option<&Arc<RoomHub>> {
-        self.hub.as_ref()
-    }
-
-    /// Stops accepting, joins the accept loop, and shuts down the serve
-    /// queue (if any) after it drains.
-    pub fn stop(mut self) {
-        self.shutdown
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        if let Some(q) = self.queue.take() {
-            q.shutdown();
+impl Device {
+    /// A device serving the services registered on `framework`: every
+    /// accepted connection gets a fresh endpoint over it.
+    pub fn new(framework: Framework) -> Device {
+        Device {
+            framework,
+            config: EndpointConfig::default(),
+            hub: None,
         }
     }
-}
 
-impl Drop for ServedDevice {
-    fn drop(&mut self) {
-        self.shutdown
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+    /// Every accepted endpoint records into `obs` (device-side serve
+    /// spans then join the phone's trace via the wire trace context).
+    /// Each endpoint still keeps its own metrics registry; only the
+    /// tracer is shared.
+    pub fn obs(mut self, obs: Obs) -> Device {
+        self.config.obs = obs;
+        self
+    }
+
+    /// Every accepted endpoint serves its invocations through `queue` —
+    /// one bounded worker pool shared across all connected phones, with
+    /// per-peer fairness and `Busy` backpressure (see [`ServeQueue`]).
+    /// This is how one device scales to many phones; over TCP it also
+    /// hops invocations off the reactor's poller threads. The queue is
+    /// shut down by [`ServedDevice::stop`].
+    pub fn queue(mut self, queue: ServeQueue) -> Device {
+        self.config.serve_queue = Some(queue);
+        self
+    }
+
+    /// Every accepted endpoint journals its lease lifecycle — handshakes,
+    /// re-handshakes, service grants, goodbyes — into the device's
+    /// durability directory. Pair with [`crate::DeviceJournal`]: register
+    /// the data tier through [`crate::DeviceJournal::register_store`] and
+    /// pass [`crate::DeviceJournal::lease_journal`] here, and the device
+    /// can be killed and restarted on the same address with phones
+    /// redialing into their recovered sessions.
+    pub fn lease_journal(mut self, journal: Journal) -> Device {
+        self.config.journal = Some(journal);
+        self
+    }
+
+    /// The device hosts shared [`Room`](crate::Room) sessions through
+    /// `hub` (register its service with [`crate::register_room_hub`] on
+    /// the same framework first). Every accepted endpoint is rostered
+    /// into the hub under its peer name, so a phone's `join` resolves to
+    /// an event sink on its own wire, and runs the `heartbeat` health
+    /// machine; [`RoomHub::tick`] runs every 50 ms on the shared timer
+    /// wheel. Members whose endpoint stays `Healthy` have their room
+    /// leases renewed; a partitioned phone's renewals stop the moment its
+    /// health machine trips — lease-TTL eviction reusing the heartbeat
+    /// machinery instead of a second failure detector.
+    pub fn rooms(mut self, hub: Arc<RoomHub>, heartbeat: HeartbeatConfig) -> Device {
+        self.config.heartbeat = Some(heartbeat);
+        self.hub = Some(hub);
+        self
+    }
+
+    /// Binds `addr` on `network` and serves until stopped.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Rosgi`] if the address is already bound,
+    /// [`EngineError::Spawn`] if the accept thread could not be started.
+    pub fn serve(
+        self,
+        network: &InMemoryNetwork,
+        addr: PeerAddr,
+    ) -> Result<ServedDevice, EngineError> {
+        let door = Door::in_memory(network, &addr).map_err(RosgiError::Transport)?;
+        let name = addr.as_str().to_owned();
+        self.serve_on(door, addr, name, HANDSHAKE_TIMEOUT)
+    }
+
+    /// Serves on `listener` (a real TCP socket) until stopped. Every
+    /// accepted endpoint rides the process-wide reactor, so a thousand
+    /// connected phones still cost a fixed I/O core budget. Give the
+    /// device a [`Device::queue`] when it serves more than a handful.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Spawn`] if the accept thread could not be started.
+    pub fn serve_tcp(
+        self,
+        listener: alfredo_net::TcpNetListener,
+    ) -> Result<ServedTcpDevice, EngineError> {
+        let addr = listener.local_addr();
+        let door = Door::tcp(listener);
+        self.serve_on(door, addr, format!("tcp://{addr}"), HANDSHAKE_TIMEOUT)
+    }
+
+    /// The one way a device comes up: starts the accept thread and the
+    /// room lease cadence, and returns the handle that ends both. `name`
+    /// is what the device's endpoints call themselves.
+    fn serve_on<A>(
+        mut self,
+        door: Door,
+        addr: A,
+        name: String,
+        handshake_timeout: Duration,
+    ) -> Result<ServedDevice<A>, EngineError> {
+        let shared = Arc::new(Shared {
+            stopped: AtomicBool::new(false),
+            endpoints: alfredo_sync::Mutex::new(Vec::new()),
+        });
+        let (queue, hub) = (self.config.serve_queue.clone(), self.hub.clone());
+        let thread = std::thread::Builder::new().name(format!("alfredo-device-{name}"));
+        self.config.peer_name = name;
+        let accept_thread = {
+            let shared = Arc::clone(&shared);
+            thread
+                .spawn(move || accept_loop(&*door.accept, &shared, self, handshake_timeout))
+                .map_err(|e| EngineError::Spawn(format!("device accept thread: {e}")))?
+        };
+        Ok(ServedDevice {
+            shared,
+            accept_thread: Some(accept_thread),
+            wake: door.wake,
+            lease_tick: hub.map(LeaseTick::start),
+            addr,
+            queue,
+        })
     }
 }
 
-impl fmt::Debug for ServedDevice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServedDevice")
-            .field("addr", &self.addr)
-            .finish()
+/// Severs an accepted wire mid-handshake, from the reaper's thread.
+type Kill = Box<dyn FnOnce() + Send>;
+/// What a listener hands the accept loop: a phone's wire, and its killer.
+type Accepted = (Box<dyn Transport>, Kill);
+
+/// All that differs between listeners; the accept loop, the handshake
+/// gate, the reaper and the roster are written once on top of it.
+struct Door {
+    /// Blocks until a phone connects.
+    accept: Box<dyn Fn() -> std::io::Result<Accepted> + Send>,
+    /// Makes a blocked `accept` return, from the stopping thread. Both
+    /// listeners do it with a throwaway connection to themselves.
+    wake: Box<dyn Fn() + Send + Sync>,
+}
+
+impl Door {
+    fn in_memory(network: &InMemoryNetwork, addr: &PeerAddr) -> Result<Door, TransportError> {
+        let listener = network.bind(addr.clone())?;
+        let (network, addr) = (network.clone(), addr.clone());
+        Ok(Door {
+            accept: Box::new(move || {
+                let wire = listener.accept().map_err(std::io::Error::other)?;
+                let kill = Box::new(wire.closer());
+                Ok((Box::new(wire) as Box<dyn Transport>, kill as Kill))
+            }),
+            wake: Box::new(move || drop(network.connect(addr.clone(), addr.clone()))),
+        })
+    }
+
+    fn tcp(listener: alfredo_net::TcpNetListener) -> Door {
+        let addr = listener.local_addr();
+        Door {
+            accept: Box::new(move || {
+                let stream = listener.accept_stream()?;
+                // A raw clone of the socket stays behind for the reaper:
+                // shutting it down fails the handshake thread's read.
+                let raw = stream.try_clone()?;
+                let wire = alfredo_net::TcpTransport::from_stream(stream)?;
+                let kill = Box::new(move || drop(raw.shutdown(std::net::Shutdown::Both)));
+                Ok((Box::new(wire) as Box<dyn Transport>, kill as Kill))
+            }),
+            wake: Box::new(move || drop(std::net::TcpStream::connect(addr))),
+        }
     }
 }
 
-/// Runs a target device: binds `addr` on `network` and serves every
-/// incoming connection with a fresh endpoint over `framework` until
-/// stopped.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Rosgi`] if the address is already bound.
-pub fn serve_device(
-    network: &InMemoryNetwork,
-    framework: Framework,
-    addr: PeerAddr,
-) -> Result<ServedDevice, EngineError> {
-    serve_device_with_obs(network, framework, addr, Obs::disabled())
-}
-
-/// Like [`serve_device`], but every accepted endpoint records into `obs`
-/// (device-side serve spans then join the phone's trace via the wire
-/// trace context). Each endpoint still keeps its own metrics registry;
-/// only the tracer is shared.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Rosgi`] if the address is already bound.
-pub fn serve_device_with_obs(
-    network: &InMemoryNetwork,
-    framework: Framework,
-    addr: PeerAddr,
-    obs: Obs,
-) -> Result<ServedDevice, EngineError> {
-    serve_device_inner(network, framework, addr, obs, None, None, None)
-}
-
-/// Like [`serve_device_with_obs`], but every accepted endpoint serves its
-/// invocations through `queue` — one bounded worker pool shared across
-/// all connected phones, with per-peer fairness and `Busy` backpressure
-/// (see [`ServeQueue`]). This is how one device scales to many phones.
-/// The queue is shut down by [`ServedDevice::stop`].
-///
-/// # Errors
-///
-/// Returns [`EngineError::Rosgi`] if the address is already bound.
-pub fn serve_device_queued(
-    network: &InMemoryNetwork,
-    framework: Framework,
-    addr: PeerAddr,
-    obs: Obs,
-    queue: ServeQueue,
-) -> Result<ServedDevice, EngineError> {
-    serve_device_inner(network, framework, addr, obs, Some(queue), None, None)
-}
-
-/// Like [`serve_device_queued`] (pass `None` for an unqueued device), but
-/// every accepted endpoint journals its lease lifecycle — handshakes,
-/// re-handshakes, service grants, goodbyes — into the device's durability
-/// directory. Pair with [`crate::DeviceJournal`]: register the data tier
-/// through [`crate::DeviceJournal::register_store`] and pass
-/// [`crate::DeviceJournal::lease_journal`] here, and the device can be
-/// killed and restarted on the same address with phones redialing into
-/// their recovered sessions.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Rosgi`] if the address is already bound.
-pub fn serve_device_durable(
-    network: &InMemoryNetwork,
-    framework: Framework,
-    addr: PeerAddr,
-    obs: Obs,
-    queue: Option<ServeQueue>,
-    lease_journal: Journal,
-) -> Result<ServedDevice, EngineError> {
-    serve_device_inner(
-        network,
-        framework,
-        addr,
-        obs,
-        queue,
-        Some(lease_journal),
-        None,
-    )
-}
-
-/// Like [`serve_device_durable`] (pass `None` for an unjournaled device),
-/// but the device hosts shared [`Room`](crate::Room) sessions through
-/// `hub`:
-///
-/// * every accepted endpoint is rostered into the hub under its peer
-///   name, so a phone's `join` through the [`crate::ROOMS_INTERFACE`]
-///   service resolves to an event sink on its own wire;
-/// * every accepted endpoint runs the `heartbeat` health machine, and the
-///   accept loop drives [`RoomHub::tick`] on its idle cadence (~50 ms):
-///   members whose heartbeats keep their endpoint `Healthy` have their
-///   room leases renewed continuously, while a partitioned phone's
-///   renewals stop the moment its health machine trips — lease-TTL
-///   eviction reusing the heartbeat machinery instead of a second
-///   failure detector.
-///
-/// Register the hub's service with [`crate::register_room_hub`] on the
-/// same framework before serving.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Rosgi`] if the address is already bound.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_device_rooms(
-    network: &InMemoryNetwork,
-    framework: Framework,
-    addr: PeerAddr,
-    obs: Obs,
-    hub: Arc<RoomHub>,
-    heartbeat: HeartbeatConfig,
-    queue: Option<ServeQueue>,
-    lease_journal: Option<Journal>,
-) -> Result<ServedDevice, EngineError> {
-    serve_device_inner(
-        network,
-        framework,
-        addr,
-        obs,
-        queue,
-        lease_journal,
-        Some((hub, heartbeat)),
-    )
+/// What a served device's handle, accept thread and handshake threads
+/// share.
+struct Shared {
+    stopped: AtomicBool,
+    /// The roster: every endpoint that completed its handshake and has
+    /// not been seen closed since.
+    endpoints: alfredo_sync::Mutex<Vec<Arc<RemoteEndpoint>>>,
 }
 
 /// Most handshake threads a device runs at once. Handshakes finish in a
@@ -1136,19 +1150,19 @@ pub fn serve_device_rooms(
 /// costing a thread.
 const HANDSHAKE_THREAD_CAP: usize = 8;
 
-/// How long an accepted TCP connection may sit without completing its
-/// handshake before the device reaps it (closes the socket). Bounds the
+/// How long an accepted connection may sit without completing its
+/// handshake before the device reaps it (closes the wire). Bounds the
 /// damage of slowloris-style clients that connect and then stall: each
 /// holds a handshake permit for at most this long.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// How long the TCP accept loop waits before it retries after an
-/// `accept(2)` error that the failed connection does not explain.
+/// How long the accept loop waits before it retries after an accept
+/// error that the failed connection does not explain.
 const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
 
-/// How long to pause before the next `accept(2)` after it failed with
-/// `err`. No error ends the accept loop — only shutdown does: one `EMFILE`
-/// must not cost the device its listener for good.
+/// How long to pause before the next accept after it failed with `err`.
+/// No error ends the accept loop — only shutdown does: one `EMFILE` must
+/// not cost the device its listener for good.
 ///
 /// * The error belongs to the connection that was being accepted (the
 ///   peer reset or aborted it while it sat in the accept queue, or a
@@ -1185,115 +1199,137 @@ impl HandshakeGate {
         })
     }
 
-    /// Blocks until a permit is free; returns `false` if `abort` was set
-    /// while waiting (device shutdown) so the accept loop can exit even
-    /// when every permit is pinned by a stalled handshake.
-    fn acquire(&self, abort: &std::sync::atomic::AtomicBool) -> bool {
+    /// Blocks until a permit is free; `None` if `abort` was set while
+    /// waiting (device shutdown) so the accept loop can exit even when
+    /// every permit is pinned by a stalled handshake.
+    fn acquire(self: &Arc<Self>, abort: &AtomicBool) -> Option<HandshakePermit> {
         let mut held = self.in_flight.lock();
         while *held >= self.cap {
-            if abort.load(std::sync::atomic::Ordering::SeqCst) {
-                return false;
+            if abort.load(Ordering::SeqCst) {
+                return None;
             }
             let (guard, _) = self.cv.wait_timeout(held, Duration::from_millis(50));
             held = guard;
         }
         *held += 1;
-        true
-    }
-
-    fn release(&self) {
-        *self.in_flight.lock() -= 1;
-        self.cv.notify_one();
+        Some(HandshakePermit(Arc::clone(self)))
     }
 }
 
-fn serve_device_inner(
-    network: &InMemoryNetwork,
-    framework: Framework,
-    addr: PeerAddr,
-    obs: Obs,
-    queue: Option<ServeQueue>,
-    journal: Option<Journal>,
-    rooms: Option<(Arc<RoomHub>, HeartbeatConfig)>,
-) -> Result<ServedDevice, EngineError> {
-    let listener = network.bind(addr.clone()).map_err(RosgiError::Transport)?;
-    let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let flag = Arc::clone(&shutdown);
-    let name = addr.as_str().to_owned();
-    let accept_queue = queue.clone();
-    let hub = rooms.as_ref().map(|(hub, _)| Arc::clone(hub));
+/// One handshake's place in the pool, given back on drop — also when the
+/// handshake thread could not be spawned and the closure owning the
+/// permit is dropped unrun.
+struct HandshakePermit(Arc<HandshakeGate>);
+
+impl Drop for HandshakePermit {
+    fn drop(&mut self) {
+        *self.0.in_flight.lock() -= 1;
+        self.0.cv.notify_one();
+    }
+}
+
+/// The accept loop, the same for every listener and every combination of
+/// options. Handshakes run on a short-lived thread per accepted
+/// connection, so concurrently arriving phones do not serialize behind
+/// each other's round-trips and a stalled client never delays the loop;
+/// the gate bounds those threads and the reaper (a timer on the shared
+/// wheel, counted as `net.handshake_reaped`) bounds how long each may
+/// take. Once its handshake thread exits, a connection costs the device
+/// no thread at all.
+fn accept_loop(
+    accept: &dyn Fn() -> std::io::Result<Accepted>,
+    shared: &Arc<Shared>,
+    device: Device,
+    handshake_timeout: Duration,
+) {
     let gate = HandshakeGate::new(HANDSHAKE_THREAD_CAP);
-    let handle = std::thread::Builder::new()
-        .name(format!("alfredo-device-{name}"))
-        .spawn(move || {
-            while !flag.load(std::sync::atomic::Ordering::SeqCst) {
-                // The accept timeout doubles as the room lease cadence:
-                // renew healthy members, evict expired ones.
-                if let Some((hub, _)) = &rooms {
-                    hub.tick(room_clock_ms());
-                }
-                match listener.accept_timeout(Duration::from_millis(50)) {
-                    Ok(conn) => {
-                        if !gate.acquire(&flag) {
-                            break;
-                        }
-                        let fw = framework.clone();
-                        let mut cfg = EndpointConfig::named(name.clone()).with_obs(obs.clone());
-                        if let Some(q) = &accept_queue {
-                            cfg = cfg.with_serve_queue(q.clone());
-                        }
-                        if let Some(j) = &journal {
-                            cfg = cfg.with_journal(j.clone());
-                        }
-                        if let Some((_, heartbeat)) = &rooms {
-                            cfg = cfg.with_heartbeat(*heartbeat);
-                        }
-                        let gate = Arc::clone(&gate);
-                        let hub = rooms.as_ref().map(|(hub, _)| Arc::clone(hub));
-                        std::thread::spawn(move || {
-                            let ep = RemoteEndpoint::establish(Box::new(conn), fw, cfg);
-                            gate.release();
-                            if let Ok(ep) = ep {
-                                let ep = Arc::new(ep);
-                                if let Some(hub) = hub {
-                                    hub.register_endpoint(Arc::clone(&ep));
-                                }
-                                ep.join();
-                            }
-                        });
-                    }
-                    Err(alfredo_net::TransportError::Timeout) => continue,
-                    Err(_) => break,
-                }
+    let wheel = alfredo_net::Reactor::global().timer();
+    let reaped = alfredo_obs::global_metrics().counter("net.handshake_reaped");
+    while !shared.stopped.load(Ordering::SeqCst) {
+        let (wire, kill) = match accept() {
+            Ok(accepted) => accepted,
+            Err(err) => {
+                std::thread::sleep(accept_retry_pause(&err));
+                continue;
             }
-        })
-        .expect("spawn device accept loop");
-    Ok(ServedDevice {
-        shutdown,
-        handle: Some(handle),
-        addr,
-        queue,
-        hub,
-    })
+        };
+        if shared.stopped.load(Ordering::SeqCst) {
+            break; // the wake-up connection
+        }
+        let Some(permit) = gate.acquire(&shared.stopped) else {
+            break;
+        };
+        let reaped = reaped.clone();
+        // If the handshake has not finished when the timer fires, killing
+        // the wire unblocks its thread with an error.
+        let reap = Box::new(move || {
+            kill();
+            reaped.inc();
+        });
+        let reap_key = wheel.schedule(handshake_timeout, reap);
+        let (framework, config) = (device.framework.clone(), device.config.clone());
+        let (shared, hub) = (Arc::clone(shared), device.hub.clone());
+        let handshake = move || {
+            let established = RemoteEndpoint::establish(wire, framework, config);
+            // Exactly one side gets the connection: a timer that can still
+            // be cancelled never fires, one that cannot has fired.
+            let lost_to_reaper = !wheel.cancel(reap_key);
+            drop(permit);
+            let Ok(endpoint) = established else { return };
+            let endpoint = Arc::new(endpoint);
+            let mut roster = shared.endpoints.lock();
+            // Torn down, not rostered: an endpoint whose wire the reaper
+            // killed just as the handshake finished, and a straggler past
+            // stop(). The flag is checked under the roster lock — stop()
+            // sets it *before* taking this lock to drain, so either the
+            // push lands before the drain or we see the flag here.
+            if lost_to_reaper || shared.stopped.load(Ordering::SeqCst) {
+                drop(roster);
+                endpoint.close();
+                return;
+            }
+            if let Some(hub) = &hub {
+                hub.register_endpoint(Arc::clone(&endpoint));
+            }
+            roster.retain(|ep| !ep.is_closed());
+            roster.push(endpoint);
+        };
+        // A failed spawn (thread exhaustion) must not take the device
+        // down: it drops the closure unrun, which closes the wire and
+        // gives the permit back; disarm the reaper and go on accepting.
+        let thread = std::thread::Builder::new().name("alfredo-handshake".into());
+        if thread.spawn(handshake).is_err() {
+            wheel.cancel(reap_key);
+        }
+    }
 }
 
-/// A running target device on a real TCP socket: accepts connections
-/// until stopped. Every accepted endpoint rides the process-wide reactor
-/// (sink mode), so the accept loop is the *only* thread this device owns
-/// — a thousand connected phones still cost a fixed I/O core budget, not
-/// a thousand reader threads.
-pub struct ServedTcpDevice {
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    addr: std::net::SocketAddr,
+/// A running target device: accepts connections until stopped. `A` is the
+/// listener's address — [`PeerAddr`] on the in-memory fabric,
+/// [`SocketAddr`](std::net::SocketAddr) over TCP. The accept loop is the
+/// only thread the device owns. Dropping the handle stops the device as
+/// [`ServedDevice::stop`] does, short of waiting for that thread and of
+/// shutting the serve queue down.
+pub struct ServedDevice<A = PeerAddr> {
+    shared: Arc<Shared>,
+    accept_thread: Option<std::thread::JoinHandle<()>>,
+    wake: Box<dyn Fn() + Send + Sync>,
+    lease_tick: Option<Arc<LeaseTick>>,
+    addr: A,
     queue: Option<ServeQueue>,
-    endpoints: Arc<alfredo_sync::Mutex<Vec<RemoteEndpoint>>>,
 }
 
-impl ServedTcpDevice {
-    /// The socket address the device listens on.
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+/// A device served over TCP. `benchmark/src/device.rs` imports this name;
+/// it goes when the benchmark moves onto [`Device`].
+pub type ServedTcpDevice = ServedDevice<std::net::SocketAddr>;
+
+impl<A> ServedDevice<A> {
+    /// The address the device listens on.
+    pub fn addr(&self) -> A
+    where
+        A: Clone,
+    {
+        self.addr.clone()
     }
 
     /// The device's serve queue, when serving queued.
@@ -1301,175 +1337,84 @@ impl ServedTcpDevice {
         self.queue.as_ref()
     }
 
-    /// Endpoints still connected (closed ones are pruned lazily on each
-    /// accept and on this call).
+    /// The endpoints still connected (closed ones are pruned lazily on
+    /// each accept and on this call).
+    pub fn endpoints(&self) -> Vec<Arc<RemoteEndpoint>> {
+        let mut roster = self.shared.endpoints.lock();
+        roster.retain(|ep| !ep.is_closed());
+        roster.clone()
+    }
+
+    /// How many endpoints are still connected.
     pub fn connections(&self) -> usize {
-        let mut eps = self.endpoints.lock();
-        eps.retain(|ep| !ep.is_closed());
-        eps.len()
+        self.endpoints().len()
     }
 
-    /// Stops accepting, closes every connected endpoint, and shuts down
-    /// the serve queue (if any) after it drains.
+    /// Stops accepting, closes every connected endpoint, joins the accept
+    /// loop, and shuts down the serve queue (if any) after it drains.
     pub fn stop(mut self) {
-        self.shutdown
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-        // The accept loop blocks in accept(2); a throwaway connection
-        // wakes it so it can observe the flag and exit.
-        let _ = std::net::TcpStream::connect(self.addr);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        self.signal_stop();
+        if let Some(thread) = self.accept_thread.take() {
+            let _ = thread.join();
         }
-        for ep in self.endpoints.lock().drain(..) {
-            ep.close();
+        if let Some(queue) = self.queue.take() {
+            queue.shutdown();
         }
-        if let Some(q) = self.queue.take() {
-            q.shutdown();
+    }
+
+    /// Raises the stop flag, ends the room lease cadence, wakes the
+    /// accept loop so it sees the flag, and closes the roster — a
+    /// handshake still in flight sees the flag and closes its own. Runs
+    /// once: `stop` does it, then `Drop` finds it done.
+    fn signal_stop(&self) {
+        if self.shared.stopped.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // After the last tick: a closing device journals no eviction.
+        if let Some(tick) = &self.lease_tick {
+            tick.stop();
+        }
+        (self.wake)();
+        let roster = std::mem::take(&mut *self.shared.endpoints.lock());
+        for endpoint in roster {
+            endpoint.close();
+        }
+        // No tick prunes the hub's own roster any more, and a hub can
+        // outlive its device.
+        if let Some(tick) = &self.lease_tick {
+            tick.hub.forget_closed_endpoints();
         }
     }
 }
 
-impl Drop for ServedTcpDevice {
+impl<A> Drop for ServedDevice<A> {
     fn drop(&mut self) {
-        self.shutdown
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-        let _ = std::net::TcpStream::connect(self.addr);
+        self.signal_stop();
     }
 }
 
-impl fmt::Debug for ServedTcpDevice {
+impl<A: fmt::Debug> fmt::Debug for ServedDevice<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServedTcpDevice")
+        f.debug_struct("ServedDevice")
             .field("addr", &self.addr)
             .finish()
     }
 }
 
-/// Runs a target device on `listener` (a real TCP socket): serves every
-/// incoming connection with a fresh reactor-backed endpoint over
-/// `framework` until stopped. Pass a [`ServeQueue`] so invocations hop
-/// off the reactor's poller threads into a bounded worker pool — the
-/// recommended shape for any device serving more than a handful of
-/// phones.
-///
-/// Handshakes run on a short-lived thread per accepted connection (as
-/// [`serve_device`] does), so concurrently arriving phones do not
-/// serialize behind each other's handshake round-trips and a stalled
-/// client never delays the accept loop. The handshake pool is bounded:
-/// at most 8 handshakes run at once (excess arrivals wait in the
-/// kernel accept queue), and a connection that stalls mid-handshake
-/// for five seconds is reaped by the
-/// shared timer wheel (counted as `net.handshake_reaped`), so slowloris
-/// clients cannot pin the pool. Established endpoints are sink-mode:
-/// once the handshake thread exits, the connection costs no thread at
-/// all.
+/// [`Device::serve_tcp`] under the name and signature
+/// `benchmark/src/device.rs` calls; it goes when the benchmark moves onto
+/// [`Device`]. Panics if the accept thread cannot be spawned.
 pub fn serve_device_tcp(
     listener: alfredo_net::TcpNetListener,
     framework: Framework,
     obs: Obs,
     queue: Option<ServeQueue>,
 ) -> ServedTcpDevice {
-    let addr = listener.local_addr();
-    let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let endpoints: Arc<alfredo_sync::Mutex<Vec<RemoteEndpoint>>> =
-        Arc::new(alfredo_sync::Mutex::new(Vec::new()));
-    let flag = Arc::clone(&shutdown);
-    let eps = Arc::clone(&endpoints);
-    let accept_queue = queue.clone();
-    let name = format!("tcp://{addr}");
-    let gate = HandshakeGate::new(HANDSHAKE_THREAD_CAP);
-    let wheel = alfredo_net::Reactor::global().timer().clone();
-    let reaped = alfredo_obs::global_metrics().counter("net.handshake_reaped");
-    let handle = std::thread::Builder::new()
-        .name(format!("alfredo-device-{addr}"))
-        .spawn(move || {
-            while !flag.load(std::sync::atomic::Ordering::SeqCst) {
-                let stream = match listener.accept_stream() {
-                    Ok(stream) => stream,
-                    Err(err) => {
-                        std::thread::sleep(accept_retry_pause(&err));
-                        continue;
-                    }
-                };
-                if flag.load(std::sync::atomic::Ordering::SeqCst) {
-                    break; // the stop() wake-up connection
-                }
-                if !gate.acquire(&flag) {
-                    break;
-                }
-                // A raw clone of the socket stays behind for the reaper:
-                // if the handshake has not finished when the timer fires,
-                // shutting the socket down unblocks the handshake thread
-                // with an error and frees its permit.
-                let raw = stream.try_clone().ok();
-                let Ok(transport) = alfredo_net::TcpTransport::from_stream(stream) else {
-                    gate.release();
-                    continue;
-                };
-                // Exactly one side claims the connection: the reaper (on
-                // timeout) or the handshake thread (on completion).
-                let claimed = Arc::new(std::sync::atomic::AtomicBool::new(false));
-                let reap_key = raw.map(|raw| {
-                    let claimed = Arc::clone(&claimed);
-                    let reaped = reaped.clone();
-                    wheel.schedule(
-                        HANDSHAKE_TIMEOUT,
-                        Box::new(move || {
-                            if !claimed.swap(true, std::sync::atomic::Ordering::SeqCst) {
-                                let _ = raw.shutdown(std::net::Shutdown::Both);
-                                reaped.inc();
-                            }
-                        }),
-                    )
-                });
-                let mut cfg = EndpointConfig::named(name.clone()).with_obs(obs.clone());
-                if let Some(q) = &accept_queue {
-                    cfg = cfg.with_serve_queue(q.clone());
-                }
-                let fw = framework.clone();
-                let eps = Arc::clone(&eps);
-                let flag = Arc::clone(&flag);
-                let gate = Arc::clone(&gate);
-                let wheel = wheel.clone();
-                std::thread::spawn(move || {
-                    let established = RemoteEndpoint::establish(Box::new(transport), fw, cfg);
-                    let lost_to_reaper = claimed.swap(true, std::sync::atomic::Ordering::SeqCst);
-                    if let Some(key) = reap_key {
-                        wheel.cancel(key);
-                    }
-                    gate.release();
-                    if let Ok(ep) = established {
-                        if lost_to_reaper {
-                            // The reaper shut the socket down just as the
-                            // handshake finished; the endpoint is on a dead
-                            // wire, so tear it down rather than roster it.
-                            ep.close();
-                            return;
-                        }
-                        let mut eps = eps.lock();
-                        // Checked under the roster lock: stop() sets the flag
-                        // *before* taking this lock to drain, so either the
-                        // push lands before the drain or we see the flag and
-                        // close the straggler ourselves.
-                        if flag.load(std::sync::atomic::Ordering::SeqCst) {
-                            drop(eps);
-                            ep.close();
-                            return;
-                        }
-                        eps.retain(|e| !e.is_closed());
-                        eps.push(ep);
-                    }
-                });
-            }
-        })
-        .expect("spawn device accept loop");
-    ServedTcpDevice {
-        shutdown,
-        handle: Some(handle),
-        addr,
-        queue,
-        endpoints,
-    }
+    let mut device = Device::new(framework).obs(obs);
+    device.config.serve_queue = queue;
+    device
+        .serve_tcp(listener)
+        .expect("spawn device accept loop")
 }
 
 #[cfg(test)]
@@ -1511,6 +1456,57 @@ mod tests {
         // An error nobody classified must not make the loop spin.
         let err = Error::other("unclassified");
         assert_eq!(accept_retry_pause(&err), ACCEPT_RETRY_PAUSE);
+    }
+
+    /// More stalled clients than the gate has permits connect and send
+    /// nothing; a phone connects behind them. The reaper gives every
+    /// permit back, counting each, and the phone is served.
+    fn reaps_the_stalled_and_serves_the_phone_behind_them<S>(
+        door: Door,
+        stall: impl Fn() -> S,
+        dial: impl FnOnce() -> Box<dyn Transport>,
+    ) {
+        const STALLED: u64 = HANDSHAKE_THREAD_CAP as u64 + 3;
+        let device = Device::new(Framework::new())
+            .serve_on(door, (), "reaper-dev".into(), Duration::from_millis(250))
+            .unwrap();
+        let reaped = alfredo_obs::global_metrics().counter("net.handshake_reaped");
+        let before = reaped.get();
+        let stalled: Vec<S> = (0..STALLED).map(|_| stall()).collect();
+        let config = EndpointConfig::named("phone");
+        let phone = RemoteEndpoint::establish(dial(), Framework::new(), config)
+            .expect("the phone gets a permit once the reaper frees one");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while reaped.get() < before + STALLED || device.connections() != 1 {
+            assert!(std::time::Instant::now() < deadline, "{}", reaped.get());
+            std::thread::yield_now();
+        }
+        let alive = phone.ping(Duration::from_secs(5));
+        assert!(alive.is_ok(), "the phone's wire was reaped: {alive:?}");
+        assert_eq!(reaped.get(), before + STALLED);
+        phone.close();
+        drop(stalled);
+        device.stop();
+    }
+
+    /// One test for both listeners: `net.handshake_reaped` is
+    /// process-wide, so the two runs must not overlap.
+    #[test]
+    fn both_listeners_reap_stalled_handshakes_and_keep_serving() {
+        let net = InMemoryNetwork::new();
+        let addr = PeerAddr::new("reaper-dev");
+        reaps_the_stalled_and_serves_the_phone_behind_them(
+            Door::in_memory(&net, &addr).unwrap(),
+            || net.connect(PeerAddr::new("stalled"), addr.clone()).unwrap(),
+            || Box::new(net.connect(PeerAddr::new("phone"), addr.clone()).unwrap()),
+        );
+        let listener = alfredo_net::TcpNetListener::bind("127.0.0.1:0").unwrap();
+        let sock = listener.local_addr();
+        reaps_the_stalled_and_serves_the_phone_behind_them(
+            Door::tcp(listener),
+            || std::net::TcpStream::connect(sock).unwrap(),
+            || Box::new(alfredo_net::TcpTransport::connect(sock).unwrap()),
+        );
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //!   always safe; executable logic needs trust.
 //! * [`AlfredOEngine`] — the phone-side runtime: discover, connect, lease
 //!   a service, build the proxy, render the UI, run the controller.
-//! * [`host_service`]/[`serve_device`] — the target-device side.
+//! * [`host_service`]/[`Device`] — the target-device side: register the
+//!   services, then one builder (obs, serve queue, lease journal, rooms)
+//!   serves them on the in-memory fabric or a TCP socket.
 //! * [`AlfredOSession`] — one live interaction: rendered UI, UI state,
 //!   controller interpreter, polling, teardown.
 //!
@@ -68,8 +70,7 @@ pub use durable::{
     DeviceJournal, DeviceJournalConfig, DeviceRecovery, RecoveredRoom, RecoveredStore,
 };
 pub use engine::{
-    host_service, serve_device, serve_device_durable, serve_device_queued, serve_device_rooms,
-    serve_device_tcp, serve_device_with_obs, AlfredOConnection, AlfredOEngine, EngineConfig,
+    host_service, serve_device_tcp, AlfredOConnection, AlfredOEngine, Device, EngineConfig,
     EngineError, OutagePolicy, ResilienceConfig, ServedDevice, ServedTcpDevice,
 };
 pub use federation::{project_ui, register_screen, Projection, ScreenService, SCREEN_INTERFACE};

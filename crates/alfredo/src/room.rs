@@ -60,9 +60,9 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use alfredo_net::ByteWriter;
+use alfredo_net::{ByteWriter, Reactor, TimerKey};
 use alfredo_osgi::events::SubscriptionId;
 use alfredo_osgi::{
     EventAdmin, Json, MethodSpec, ParamSpec, Properties, Service, ServiceCallError,
@@ -1139,8 +1139,8 @@ impl fmt::Debug for RoomReplica {
 /// The device-side registry of rooms plus the endpoint roster that turns
 /// connected phones into room sinks. Register it as the
 /// [`ROOMS_INTERFACE`] service (via [`crate::register_room_hub`]) and
-/// wire accepted endpoints in with [`RoomHub::register_endpoint`] —
-/// [`crate::serve_device_rooms`] does both.
+/// wire accepted endpoints in with [`RoomHub::register_endpoint`] — a
+/// device built with [`crate::Device::rooms`] does the wiring.
 pub struct RoomHub {
     rooms: Mutex<HashMap<String, Arc<Room>>>,
     endpoints: Mutex<HashMap<String, Arc<RemoteEndpoint>>>,
@@ -1235,6 +1235,11 @@ impl RoomHub {
         Some(Arc::new(EndpointRoomSink(Arc::clone(ep))) as Arc<dyn RoomSink>)
     }
 
+    /// Lets go of the rostered endpoints that have closed.
+    pub(crate) fn forget_closed_endpoints(&self) {
+        self.endpoints.lock().retain(|_, ep| !ep.is_closed());
+    }
+
     /// Drops the peer's sinks in every room (seats stay, lease-bounded,
     /// for a rejoin) — invoked by the health listener on `Disconnected`.
     fn peer_disconnected(&self, peer: &str) {
@@ -1252,12 +1257,12 @@ impl RoomHub {
 
     /// Drives the lease machinery: members whose endpoint heartbeat
     /// machine still reports `Healthy` are renewed, then every room
-    /// evicts what expired. Call periodically (the device accept loop
-    /// does). Returns total evictions.
+    /// evicts what expired. Call periodically (a served device does, from
+    /// the shared timer wheel). Returns total evictions.
     pub fn tick(&self, now_ms: u64) -> usize {
+        self.forget_closed_endpoints();
         let healthy: Vec<String> = {
-            let mut endpoints = self.endpoints.lock();
-            endpoints.retain(|_, ep| !ep.is_closed());
+            let endpoints = self.endpoints.lock();
             endpoints
                 .iter()
                 .filter(|(_, ep)| ep.health() == HealthState::Healthy)
@@ -1281,6 +1286,52 @@ impl fmt::Debug for RoomHub {
             .field("rooms", &self.rooms.lock().len())
             .field("endpoints", &self.endpoints.lock().len())
             .finish()
+    }
+}
+
+/// How often a served device renews and evicts its hub's room leases.
+const LEASE_CADENCE: Duration = Duration::from_millis(50);
+
+/// A served device's room lease cadence: a self-re-arming entry on the
+/// shared timer wheel that runs [`RoomHub::tick`], so no accept loop has
+/// to wake up for it.
+pub(crate) struct LeaseTick {
+    pub(crate) hub: Arc<RoomHub>,
+    /// The armed wheel entry; `None` once stopped. Held across a tick, so
+    /// `stop` returns only after a running tick has finished and none
+    /// follows it — the endpoints a stopping device then closes must not
+    /// be journaled as evictions.
+    armed: Mutex<Option<TimerKey>>,
+}
+
+impl LeaseTick {
+    pub(crate) fn start(hub: Arc<RoomHub>) -> Arc<LeaseTick> {
+        let tick = Arc::new(LeaseTick {
+            hub,
+            armed: Mutex::new(None),
+        });
+        tick.arm(&mut tick.armed.lock());
+        tick
+    }
+
+    fn arm(self: &Arc<Self>, armed: &mut Option<TimerKey>) {
+        let tick = Arc::clone(self);
+        let run = Box::new(move || tick.run());
+        *armed = Some(Reactor::global().timer().schedule(LEASE_CADENCE, run));
+    }
+
+    fn run(self: Arc<Self>) {
+        let mut armed = self.armed.lock();
+        if armed.is_some() {
+            self.hub.tick(room_clock_ms());
+            self.arm(&mut armed);
+        }
+    }
+
+    pub(crate) fn stop(&self) {
+        if let Some(key) = self.armed.lock().take() {
+            Reactor::global().timer().cancel(key);
+        }
     }
 }
 

@@ -40,12 +40,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use alfredo_core::{
-    host_service, serve_device, serve_device_durable, AlfredOEngine, DeviceJournal,
-    DeviceJournalConfig, EngineConfig, ServiceDescriptor,
+    host_service, AlfredOEngine, Device, DeviceJournal, DeviceJournalConfig, EngineConfig,
+    ServiceDescriptor,
 };
 use alfredo_journal::{Journal, JournalConfig, JournalStats};
 use alfredo_net::{InMemoryNetwork, PeerAddr};
-use alfredo_obs::Obs;
 use alfredo_osgi::{
     FnService, Framework, Json, MethodSpec, ParamSpec, Properties, ServiceInterfaceDesc, TypeHint,
     Value,
@@ -151,24 +150,17 @@ fn invoke_run(journaled: bool, invokes: u64) -> (f64, f64) {
     )
     .expect("host echo service");
 
-    let mut device_journal = None;
-    let device = if journaled {
-        let dj = DeviceJournal::open(DeviceJournalConfig::new(dir.join("device")))
-            .expect("open device journal");
-        let d = serve_device_durable(
-            &net,
-            fw,
-            PeerAddr::new("bench-dev"),
-            Obs::disabled(),
-            None,
-            dj.lease_journal().clone(),
-        )
-        .expect("serve journaled device");
-        device_journal = Some(dj);
-        d
-    } else {
-        serve_device(&net, fw, PeerAddr::new("bench-dev")).expect("serve bare device")
-    };
+    let mut device = Device::new(fw);
+    let device_journal = journaled.then(|| {
+        DeviceJournal::open(DeviceJournalConfig::new(dir.join("device")))
+            .expect("open device journal")
+    });
+    if let Some(dj) = &device_journal {
+        device = device.lease_journal(dj.lease_journal().clone());
+    }
+    let device = device
+        .serve(&net, PeerAddr::new("bench-dev"))
+        .expect("serve device");
 
     let mut cfg = EngineConfig::phone("bench-phone", DeviceCapabilities::nokia_9300i());
     if journaled {

@@ -35,8 +35,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use alfredo_core::{
-    host_service, serve_device_with_obs, AlfredOEngine, ClientContext, ControllerProgram,
-    DependencySpec, EngineConfig, MethodCall, OutagePolicy, Placement, PlacementController,
+    host_service, AlfredOEngine, ClientContext, ControllerProgram, DependencySpec, Device,
+    EngineConfig, MethodCall, OutagePolicy, Placement, PlacementController,
     PlacementControllerConfig, ResilienceConfig, ResourceRequirements, Rule, ServiceDescriptor,
     SignalSampler, ThinClientPolicy,
 };
@@ -181,8 +181,10 @@ fn main() {
         Properties::new(),
     )
     .unwrap();
-    let device =
-        serve_device_with_obs(&net, device_fw, PeerAddr::new("mig-screen"), obs.clone()).unwrap();
+    let device = Device::new(device_fw)
+        .obs(obs.clone())
+        .serve(&net, PeerAddr::new("mig-screen"))
+        .unwrap();
 
     let code = CodeRegistry::new();
     code.register_service(FACTORY_KEY, || {

@@ -37,6 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use alfredo_core::{Device, ServedDevice};
 use alfredo_net::{FaultPlan, FaultyTransport, InMemoryNetwork, PeerAddr, Transport};
 use alfredo_osgi::{
     FnService, Framework, Json, MethodSpec, ParamSpec, Properties, ServiceCallError,
@@ -46,7 +47,6 @@ use alfredo_rosgi::{
     EndpointConfig, RemoteEndpoint, RetryBudgetConfig, RetryPolicy, RosgiError, ServeQueue,
     ServeQueueConfig,
 };
-use alfredo_sync::Mutex;
 
 const INTERFACE: &str = "bench.Overload";
 /// Worker pool serving the goodput/shed device.
@@ -65,8 +65,6 @@ const GOODPUT_FLOOR: f64 = 0.70;
 /// The storm's frames-sent amplification cap over first-attempt traffic.
 const AMPLIFICATION_CAP: f64 = 2.0;
 
-type Roster = Arc<Mutex<Vec<Arc<RemoteEndpoint>>>>;
-
 fn interface_desc() -> ServiceInterfaceDesc {
     ServiceInterfaceDesc::new(
         INTERFACE,
@@ -81,14 +79,13 @@ fn interface_desc() -> ServiceInterfaceDesc {
 
 /// A device serving `bench.Overload/work` through `queue`. Every
 /// execution bumps `execs` — the ground truth for the zero-expired-
-/// executions guard. Returns the roster of serving endpoints so their
-/// `rosgi.shed_expired` counters can be aggregated.
+/// executions guard.
 fn spawn_device(
     net: &InMemoryNetwork,
     addr: &str,
     queue: ServeQueue,
     execs: Arc<AtomicU64>,
-) -> Roster {
+) -> ServedDevice {
     let fw = Framework::new();
     fw.system_context()
         .register_service(
@@ -105,25 +102,10 @@ fn spawn_device(
             Properties::new(),
         )
         .expect("register overload service");
-    let listener = net.bind(PeerAddr::new(addr)).expect("bind device");
-    let roster: Roster = Arc::new(Mutex::new(Vec::new()));
-    let accept_roster = Arc::clone(&roster);
-    let name = addr.to_owned();
-    std::thread::spawn(move || {
-        while let Ok(conn) = listener.accept() {
-            let fw2 = fw.clone();
-            let cfg = EndpointConfig::named(name.clone()).with_serve_queue(queue.clone());
-            let roster = Arc::clone(&accept_roster);
-            std::thread::spawn(move || {
-                if let Ok(ep) = RemoteEndpoint::establish(Box::new(conn), fw2, cfg) {
-                    let ep = Arc::new(ep);
-                    roster.lock().push(Arc::clone(&ep));
-                    ep.join();
-                }
-            });
-        }
-    });
-    roster
+    Device::new(fw)
+        .queue(queue)
+        .serve(net, PeerAddr::new(addr))
+        .expect("serve overload device")
 }
 
 /// Connects a phone endpoint, optionally through a seeded faulty wire.
@@ -171,9 +153,16 @@ fn drive(eps: &[Arc<RemoteEndpoint>], calls: u64) -> (u64, u64) {
     (ok.load(Ordering::Relaxed), failed.load(Ordering::Relaxed))
 }
 
-/// Sum of `rosgi.shed_expired` across a device's serving endpoints.
-fn roster_shed_expired(roster: &Roster) -> u64 {
-    roster.lock().iter().map(|ep| ep.stats().shed_expired).sum()
+/// Adds the device's connected endpoints to `served`, once each. The
+/// device's roster forgets an endpoint when it closes; its counters live
+/// on in the handle kept here, so call this before closing a section's
+/// phones.
+fn keep_serving(served: &mut Vec<Arc<RemoteEndpoint>>, device: &ServedDevice) {
+    for ep in device.endpoints() {
+        if !served.iter().any(|kept| Arc::ptr_eq(kept, &ep)) {
+            served.push(ep);
+        }
+    }
 }
 
 fn wait_for_drain(queue: &ServeQueue, what: &str) {
@@ -210,7 +199,10 @@ fn main() {
         total_depth: 1024,
         retry_after: Duration::from_millis(1),
     });
-    let roster = spawn_device(&net, "overload-dev", queue.clone(), Arc::clone(&execs));
+    let device = spawn_device(&net, "overload-dev", queue.clone(), Arc::clone(&execs));
+    // Every endpoint that ever served a phone of the first three sections,
+    // for the whole-run shed accounting below.
+    let mut served: Vec<Arc<RemoteEndpoint>> = Vec::new();
 
     // --- capacity: closed loop at the worker count, no deadlines -----------
     let phones: Vec<Arc<RemoteEndpoint>> = (0..WORKERS)
@@ -228,6 +220,7 @@ fn main() {
     let (ok, failed) = drive(&phones, capacity_calls);
     let capacity = ok as f64 / started.elapsed().as_secs_f64();
     assert_eq!(failed, 0, "capacity phase must not fail calls");
+    keep_serving(&mut served, &device);
     for p in &phones {
         p.close();
     }
@@ -253,6 +246,7 @@ fn main() {
     let (ok, failed) = drive(&phones, overload_calls);
     let goodput = ok as f64 / started.elapsed().as_secs_f64();
     let goodput_ratio = goodput / capacity;
+    keep_serving(&mut served, &device);
     for p in &phones {
         p.close();
     }
@@ -307,7 +301,8 @@ fn main() {
     // queue counter; give them a beat to finish answering.
     std::thread::sleep(Duration::from_millis(50));
     let qs = queue.stats();
-    let wire_shed = roster_shed_expired(&roster);
+    keep_serving(&mut served, &device);
+    let wire_shed: u64 = served.iter().map(|ep| ep.stats().shed_expired).sum();
     let executed = execs.load(Ordering::Relaxed);
     println!(
         "shed:     {} expired in queue, {} predicted at enqueue, burst {burst_ok}/{burst_calls} \
@@ -323,7 +318,7 @@ fn main() {
         total_depth: 8,
         retry_after: Duration::from_millis(2),
     });
-    let _storm_roster = spawn_device(&net, "storm-dev", storm_queue.clone(), storm_execs);
+    let _storm_device = spawn_device(&net, "storm-dev", storm_queue.clone(), storm_execs);
     let storm_phones: Vec<Arc<RemoteEndpoint>> = (0..STORM_PHONES)
         .map(|i| {
             Arc::new(connect(
@@ -413,6 +408,11 @@ fn main() {
     assert!(
         qs.shed_expired > 0,
         "the stalled burst must shed expired entries in-queue: {qs:?}"
+    );
+    assert_eq!(
+        served.len(),
+        3 * WORKERS + 2,
+        "the shed accounting must cover every phone's serving endpoint"
     );
     assert_eq!(
         wire_shed, qs.shed_expired,

@@ -37,11 +37,9 @@ use std::time::{Duration, Instant};
 
 use alfredo_bench::timing::{self, Measurement};
 use alfredo_core::{
-    host_service, serve_device_queued, serve_device_tcp, AlfredOEngine, EngineConfig,
-    ResilienceConfig, ServiceDescriptor,
+    host_service, AlfredOEngine, Device, EngineConfig, ResilienceConfig, ServiceDescriptor,
 };
 use alfredo_net::{raise_nofile_limit, InMemoryNetwork, PeerAddr, TcpNetListener, TcpTransport};
-use alfredo_obs::Obs;
 use alfredo_osgi::{
     FnService, Framework, Json, MethodSpec, ParamSpec, Properties, ServiceInterfaceDesc, TypeHint,
     Value,
@@ -98,22 +96,6 @@ fn bench_framework() -> Framework {
     fw
 }
 
-/// One device serving the bench service through `queue` on `addr`.
-fn spawn_device(
-    net: &InMemoryNetwork,
-    addr: &str,
-    queue: ServeQueue,
-) -> alfredo_core::ServedDevice {
-    serve_device_queued(
-        net,
-        bench_framework(),
-        PeerAddr::new(addr),
-        Obs::disabled(),
-        queue,
-    )
-    .expect("serve bench device")
-}
-
 /// What one scenario measured.
 struct ScenarioResult {
     phones: usize,
@@ -137,25 +119,20 @@ fn run_scenario_on(
     calls: usize,
     tcp: bool,
 ) -> ScenarioResult {
-    enum Device {
-        Mem(alfredo_core::ServedDevice),
-        Tcp(alfredo_core::ServedTcpDevice),
-    }
     let net = InMemoryNetwork::new();
     let queue = ServeQueue::new(ServeQueueConfig::workers(workers));
     let addr = format!("scale-dev-{name}");
-    let (device, tcp_addr) = if tcp {
+    let device = Device::new(bench_framework()).queue(queue.clone());
+    let (stop_device, tcp_addr): (Box<dyn FnOnce()>, _) = if tcp {
         let listener = TcpNetListener::bind("127.0.0.1:0").expect("bind loopback");
         let sock = listener.local_addr();
-        let dev = serve_device_tcp(
-            listener,
-            bench_framework(),
-            Obs::disabled(),
-            Some(queue.clone()),
-        );
-        (Device::Tcp(dev), Some(sock))
+        let served = device.serve_tcp(listener).expect("serve bench device");
+        (Box::new(move || served.stop()), Some(sock))
     } else {
-        (Device::Mem(spawn_device(&net, &addr, queue.clone())), None)
+        let served = device
+            .serve(&net, PeerAddr::new(addr.clone()))
+            .expect("serve bench device");
+        (Box::new(move || served.stop()), None)
     };
 
     if let Some(sock) = tcp_addr {
@@ -261,10 +238,7 @@ fn run_scenario_on(
     };
     let total_calls = (phones * interactions * calls) as f64;
     let queue_rejected = queue.stats().rejected;
-    match device {
-        Device::Mem(d) => d.stop(),
-        Device::Tcp(d) => d.stop(),
-    }
+    stop_device();
     ScenarioResult {
         phones,
         interactions: interactions_m,
@@ -336,7 +310,10 @@ fn run_hold_open(phones: usize) -> HoldOpenResult {
     let queue = ServeQueue::new(ServeQueueConfig::workers(8));
     let listener = TcpNetListener::bind("127.0.0.1:0").expect("bind loopback");
     let sock = listener.local_addr();
-    let device = serve_device_tcp(listener, bench_framework(), Obs::disabled(), Some(queue));
+    let device = Device::new(bench_framework())
+        .queue(queue)
+        .serve_tcp(listener)
+        .expect("serve bench device");
 
     let mut endpoints = Vec::with_capacity(phones);
     for i in 0..phones {

@@ -7,7 +7,7 @@
 
 use alfredo_apps::shop::SHOP_INTERFACE;
 use alfredo_apps::{register_mouse_controller, register_shop, sample_catalog, MOUSE_INTERFACE};
-use alfredo_core::{serve_device, AlfredOEngine, EngineConfig, FootprintItem, FootprintReport};
+use alfredo_core::{AlfredOEngine, Device, EngineConfig, FootprintItem, FootprintReport};
 use alfredo_net::{InMemoryNetwork, LinkProfile, PeerAddr};
 use alfredo_osgi::Framework;
 use alfredo_rosgi::DiscoveryDirectory;
@@ -145,7 +145,9 @@ fn live_mouse_measurements() -> (u64, u64, Vec<(String, u64)>) {
     let net = InMemoryNetwork::new();
     let fw = Framework::new();
     let (service, _reg) = register_mouse_controller(&fw, 1280, 800).expect("register");
-    let device = serve_device(&net, fw, PeerAddr::new("fp-laptop")).expect("serve");
+    let device = Device::new(fw)
+        .serve(&net, PeerAddr::new("fp-laptop"))
+        .expect("serve");
     let engine = AlfredOEngine::new(
         Framework::new(),
         net,
@@ -203,7 +205,9 @@ fn live_shop_measurements() -> (u64, u64) {
     let net = InMemoryNetwork::new();
     let fw = Framework::new();
     register_shop(&fw, sample_catalog()).expect("register");
-    let device = serve_device(&net, fw, PeerAddr::new("fp-screen")).expect("serve");
+    let device = Device::new(fw)
+        .serve(&net, PeerAddr::new("fp-screen"))
+        .expect("serve");
     let engine = AlfredOEngine::new(
         Framework::new(),
         net,

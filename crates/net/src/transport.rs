@@ -232,7 +232,28 @@ impl fmt::Debug for ChannelTransport {
     }
 }
 
+/// Closes an in-memory connection: tells the peer once, and always wakes
+/// the local reader too — the peer may never reply (it learned of the
+/// shared close flag and skips its own `Fin`).
+fn close_channel(closed: &AtomicBool, tx: &Sender<Packet>, self_tx: &Sender<Packet>) {
+    if !closed.swap(true, Ordering::SeqCst) {
+        // Best effort: ignore failure if the peer is gone.
+        let _ = tx.send(Packet::Fin);
+    }
+    let _ = self_tx.send(Packet::Fin);
+}
+
 impl ChannelTransport {
+    /// A handle that closes this connection exactly as
+    /// [`Transport::close`] does, for a thread that does not hold the
+    /// transport — a device's handshake reaper, after the wire has moved
+    /// into the endpoint being established.
+    pub fn closer(&self) -> impl FnOnce() + Send + 'static {
+        let closed = Arc::clone(&self.closed);
+        let (tx, self_tx) = (self.tx.clone(), self.self_tx.clone());
+        move || close_channel(&closed, &tx, &self_tx)
+    }
+
     fn handle_packet(&self, packet: Packet) -> Result<Option<Vec<u8>>, TransportError> {
         match packet {
             Packet::Frame(frame) => Ok(Some(frame)),
@@ -284,13 +305,7 @@ impl Transport for ChannelTransport {
     }
 
     fn close(&self) {
-        if !self.closed.swap(true, Ordering::SeqCst) {
-            // Best effort: tell the peer. Ignore failure if it's gone.
-            let _ = self.tx.send(Packet::Fin);
-        }
-        // Always wake our own reader too: the peer may never reply (e.g.
-        // it learned of the shared close flag and skips its own Fin).
-        let _ = self.self_tx.send(Packet::Fin);
+        close_channel(&self.closed, &self.tx, &self.self_tx);
     }
 
     fn is_closed(&self) -> bool {
@@ -565,6 +580,17 @@ mod tests {
             client.send(b"x".to_vec()).unwrap_err(),
             TransportError::Closed
         );
+    }
+
+    #[test]
+    fn closer_closes_a_transport_that_has_moved_away() {
+        let net = InMemoryNetwork::new();
+        let (client, server) = pair(&net, "closer");
+        let close = server.closer();
+        let blocked = thread::spawn(move || server.recv());
+        close();
+        assert_eq!(blocked.join().unwrap().unwrap_err(), TransportError::Closed);
+        assert_eq!(client.recv().unwrap_err(), TransportError::Closed);
     }
 
     #[test]

@@ -113,12 +113,6 @@ pub struct EndpointConfig {
     /// `false` — AlfredO's untrusted default — every method delegates
     /// remotely even if the service offers a smart proxy.
     pub accept_smart_proxies: bool,
-    /// Whether to forward local EventAdmin events the peer subscribed to.
-    pub forward_events: bool,
-    /// Chunks a stream receiver lets the sender keep in flight.
-    pub initial_stream_credits: u32,
-    /// Stream chunk size in bytes.
-    pub stream_chunk_size: usize,
     /// Background heartbeat driving the health state machine, ticked on
     /// the reactor's shared timer wheel. `None` (the default) schedules
     /// nothing.
@@ -231,9 +225,6 @@ impl Default for EndpointConfig {
             invoke_timeout: Duration::from_secs(5),
             code_registry: CodeRegistry::new(),
             accept_smart_proxies: false,
-            forward_events: true,
-            initial_stream_credits: DEFAULT_INITIAL_CREDITS,
-            stream_chunk_size: DEFAULT_CHUNK_SIZE,
             heartbeat: None,
             lease_ttl: None,
             retry: RetryPolicy::default(),
@@ -340,7 +331,6 @@ impl fmt::Debug for EndpointConfig {
         f.debug_struct("EndpointConfig")
             .field("peer_name", &self.peer_name)
             .field("accept_smart_proxies", &self.accept_smart_proxies)
-            .field("forward_events", &self.forward_events)
             .finish()
     }
 }
@@ -716,7 +706,7 @@ impl RemoteEndpoint {
 
         // --- forward local events the peer subscribed to (a tap: sees
         // every event but does not count as application interest) ---
-        if inner.config.forward_events {
+        {
             let weak = Arc::downgrade(&inner);
             let tap = inner.framework.event_admin().add_tap(move |event| {
                 let Some(inner) = weak.upgrade() else { return };
@@ -1205,7 +1195,7 @@ impl RemoteEndpoint {
             stream,
             name: name.to_owned(),
         })?;
-        let chunks = chunks_of(data, inner.config.stream_chunk_size);
+        let chunks = chunks_of(data, DEFAULT_CHUNK_SIZE);
         let last_idx = chunks.len() - 1;
         for (seq, chunk) in chunks.into_iter().enumerate() {
             if !gate.acquire(inner.config.invoke_timeout) {
@@ -1921,7 +1911,7 @@ impl Inner {
                 let _ = self.incoming_streams.0.send(receiver);
                 let _ = self.send(&Message::StreamCredit {
                     stream,
-                    credits: self.config.initial_stream_credits,
+                    credits: DEFAULT_INITIAL_CREDITS,
                 });
             }
             Message::StreamChunk {
@@ -2590,6 +2580,5 @@ mod tests {
     fn default_config_is_untrusting() {
         let cfg = EndpointConfig::default();
         assert!(!cfg.accept_smart_proxies, "smart proxies need opt-in");
-        assert!(cfg.forward_events);
     }
 }

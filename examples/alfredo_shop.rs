@@ -11,7 +11,7 @@
 //! ```
 
 use alfredo_apps::{register_shop, sample_catalog, SHOP_INTERFACE};
-use alfredo_core::{serve_device, AlfredOEngine, EngineConfig};
+use alfredo_core::{AlfredOEngine, Device, EngineConfig};
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_osgi::{Framework, Value};
 use alfredo_rosgi::{DiscoveryDirectory, ServiceUrl};
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The information screen behind the shop window ------------------
     let screen_fw = Framework::new();
     register_shop(&screen_fw, sample_catalog())?;
-    let device = serve_device(&net, screen_fw, PeerAddr::new("shop-window"))?;
+    let device = Device::new(screen_fw).serve(&net, PeerAddr::new("shop-window"))?;
     discovery.advertise(
         ServiceUrl::new(
             "service:alfredo-shop",

@@ -10,7 +10,7 @@
 //! ```
 
 use alfredo_apps::{register_coffee_machine, COFFEE_INTERFACE};
-use alfredo_core::{serve_device, AlfredOEngine, EngineConfig};
+use alfredo_core::{AlfredOEngine, Device, EngineConfig};
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_osgi::Framework;
 use alfredo_rosgi::DiscoveryDirectory;
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = InMemoryNetwork::new();
     let machine_fw = Framework::new();
     let (machine, _reg) = register_coffee_machine(&machine_fw)?;
-    let device = serve_device(&net, machine_fw, PeerAddr::new("kitchen"))?;
+    let device = Device::new(machine_fw).serve(&net, PeerAddr::new("kitchen"))?;
 
     let engine = AlfredOEngine::new(
         Framework::new(),

@@ -16,8 +16,8 @@ use std::time::Duration;
 use alfredo_apps::shop::{link_comparison_logic, COMPARE_INTERFACE};
 use alfredo_apps::{register_shop, sample_catalog, SHOP_INTERFACE};
 use alfredo_core::{
-    project_ui, register_data_store, register_screen, serve_device, AlfredOEngine, ClientContext,
-    DataReplica, EngineConfig, RuntimeOptimizer, ThinClientPolicy,
+    project_ui, register_data_store, register_screen, AlfredOEngine, ClientContext, DataReplica,
+    Device, EngineConfig, RuntimeOptimizer, ThinClientPolicy,
 };
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_osgi::{CodeRegistry, Framework, Value};
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (prices, _r2) = register_data_store(&screen_fw, "prices")?;
     prices.put("Queen Bed 'Aurora'", Value::I64(49_900));
     prices.put("Sofa 'Ease' 3-seat", Value::I64(89_900));
-    let device = serve_device(&net, screen_fw, PeerAddr::new("shop"))?;
+    let device = Device::new(screen_fw).serve(&net, PeerAddr::new("shop"))?;
 
     // --- A trusted phone connects ----------------------------------------
     let code = CodeRegistry::new();

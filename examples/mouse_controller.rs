@@ -11,7 +11,7 @@
 //! ```
 
 use alfredo_apps::{register_mouse_controller, MOUSE_INTERFACE};
-use alfredo_core::{serve_device, AlfredOEngine, EngineConfig};
+use alfredo_core::{AlfredOEngine, Device, EngineConfig};
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_osgi::Framework;
 use alfredo_rosgi::DiscoveryDirectory;
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The notebook (target device) ----------------------------------
     let notebook_fw = Framework::new();
     let (mouse, _registration) = register_mouse_controller(&notebook_fw, 1280, 800)?;
-    let device = serve_device(&net, notebook_fw, PeerAddr::new("notebook"))?;
+    let device = Device::new(notebook_fw).serve(&net, PeerAddr::new("notebook"))?;
 
     // --- A Nokia 9300i drives the pointer with its cursor keys ---------
     let nokia = AlfredOEngine::new(

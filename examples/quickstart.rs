@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use alfredo_core::{
-    host_service, serve_device, AlfredOEngine, Binding, ControllerProgram, EngineConfig,
-    MethodCall, Rule, ServiceDescriptor,
+    host_service, AlfredOEngine, Binding, ControllerProgram, Device, EngineConfig, MethodCall,
+    Rule, ServiceDescriptor,
 };
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_osgi::{
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None,
         Properties::new(),
     )?;
-    let device = serve_device(&net, device_fw, PeerAddr::new("screen"))?;
+    let device = Device::new(device_fw).serve(&net, PeerAddr::new("screen"))?;
     discovery.advertise(
         ServiceUrl::new(
             "service:greeter",

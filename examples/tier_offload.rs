@@ -14,7 +14,7 @@
 use alfredo_apps::shop::{link_comparison_logic, COMPARE_INTERFACE};
 use alfredo_apps::{register_shop, sample_catalog, SHOP_INTERFACE};
 use alfredo_core::{
-    serve_device, AdaptivePolicy, AlfredOEngine, ClientContext, EngineConfig, LogicOffloadPolicy,
+    AdaptivePolicy, AlfredOEngine, ClientContext, Device, EngineConfig, LogicOffloadPolicy,
     TrustLevel,
 };
 use alfredo_net::{InMemoryNetwork, PeerAddr};
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = InMemoryNetwork::new();
     let screen_fw = Framework::new();
     register_shop(&screen_fw, sample_catalog())?;
-    let device = serve_device(&net, screen_fw, PeerAddr::new("screen"))?;
+    let device = Device::new(screen_fw).serve(&net, PeerAddr::new("screen"))?;
 
     let catalog = sample_catalog();
     let a = catalog.get("Desk 'Nook'").unwrap().to_value();

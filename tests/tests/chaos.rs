@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 use alfredo_apps::{register_mouse_controller, MOUSE_INTERFACE};
 use alfredo_core::session::ActionOutcome;
 use alfredo_core::{
-    decode_ui_event, record_executed, serve_device_with_obs, AlfredOEngine, EngineConfig,
-    EngineError, OutagePolicy, ResilienceConfig,
+    decode_ui_event, record_executed, AlfredOEngine, Device, EngineConfig, EngineError,
+    OutagePolicy, ResilienceConfig,
 };
 use alfredo_journal::{recover, JournalConfig};
 use alfredo_net::{
@@ -107,8 +107,10 @@ fn run_interaction(
     let net = InMemoryNetwork::new();
     let device_fw = Framework::new();
     let (service, _reg) = register_mouse_controller(&device_fw, 1280, 800).unwrap();
-    let device =
-        serve_device_with_obs(&net, device_fw, PeerAddr::new("laptop"), obs.clone()).unwrap();
+    let device = Device::new(device_fw)
+        .obs(obs.clone())
+        .serve(&net, PeerAddr::new("laptop"))
+        .unwrap();
 
     let mut config = EngineConfig::phone("phone", DeviceCapabilities::nokia_9300i())
         .with_resilience(resilience())
@@ -291,8 +293,9 @@ fn replay_from_artifact(dir: &Path) -> FinalState {
     let net = InMemoryNetwork::new();
     let device_fw = Framework::new();
     let (service, _reg) = register_mouse_controller(&device_fw, 1280, 800).unwrap();
-    let device =
-        serve_device_with_obs(&net, device_fw, PeerAddr::new("laptop"), Obs::disabled()).unwrap();
+    let device = Device::new(device_fw)
+        .serve(&net, PeerAddr::new("laptop"))
+        .unwrap();
     let engine = AlfredOEngine::new(
         Framework::new(),
         net.clone(),
@@ -451,9 +454,9 @@ fn chaos_breaker_trips_and_recovers() {
         let net = InMemoryNetwork::new();
         let device_fw = Framework::new();
         let (service, _reg) = register_mouse_controller(&device_fw, 1280, 800).unwrap();
-        let device =
-            serve_device_with_obs(&net, device_fw, PeerAddr::new("laptop"), Obs::disabled())
-                .unwrap();
+        let device = Device::new(device_fw)
+            .serve(&net, PeerAddr::new("laptop"))
+            .unwrap();
 
         let resilience = ResilienceConfig {
             heartbeat: HeartbeatConfig {
@@ -630,8 +633,8 @@ fn chaos_breaker_trips_and_recovers() {
 /// write is an absolute `Put`, so a duplicated retry is a no-op on state.
 fn room_chaos_run(seed: u64) {
     use alfredo_core::{
-        register_room_hub, room_clock_ms, serve_device_rooms, DeviceJournal, DeviceJournalConfig,
-        RoomConfig, RoomHub, RoomReplica, PRESENCE_PREFIX, ROOMS_INTERFACE,
+        register_room_hub, room_clock_ms, Device, DeviceJournal, DeviceJournalConfig, RoomConfig,
+        RoomHub, RoomReplica, PRESENCE_PREFIX, ROOMS_INTERFACE,
     };
 
     let dir = journal_dir(seed, "room-device");
@@ -654,22 +657,17 @@ fn room_chaos_run(seed: u64) {
     hub.adopt(Arc::clone(&room));
     let device_fw = Framework::new();
     let _reg = register_room_hub(&device_fw, Arc::clone(&hub)).unwrap();
-    let device = serve_device_rooms(
-        &net,
-        device_fw,
-        PeerAddr::new("screen"),
-        Obs::disabled(),
-        Arc::clone(&hub),
-        HeartbeatConfig {
-            interval: Duration::from_millis(25),
-            timeout: Duration::from_millis(40),
-            degraded_after: 1,
-            disconnected_after: 3,
-        },
-        None,
-        Some(journal.lease_journal().clone()),
-    )
-    .unwrap();
+    let heartbeat = HeartbeatConfig {
+        interval: Duration::from_millis(25),
+        timeout: Duration::from_millis(40),
+        degraded_after: 1,
+        disconnected_after: 3,
+    };
+    let device = Device::new(device_fw)
+        .rooms(Arc::clone(&hub), heartbeat)
+        .lease_journal(journal.lease_journal().clone())
+        .serve(&net, PeerAddr::new("screen"))
+        .unwrap();
 
     // ---- Two phones; Alice's wire is the seeded-lossy, partitionable one.
     let phone = |name: &str, plan: FaultPlan| {

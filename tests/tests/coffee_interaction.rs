@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use alfredo_apps::{register_coffee_machine, COFFEE_INTERFACE};
-use alfredo_core::{serve_device, AlfredOEngine, EngineConfig};
+use alfredo_core::{AlfredOEngine, Device, EngineConfig};
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_osgi::Framework;
 use alfredo_rosgi::DiscoveryDirectory;
@@ -24,7 +24,9 @@ fn rig(
     let net = InMemoryNetwork::new();
     let machine_fw = Framework::new();
     let (machine, _reg) = register_coffee_machine(&machine_fw).unwrap();
-    let device = serve_device(&net, machine_fw, PeerAddr::new(addr)).unwrap();
+    let device = Device::new(machine_fw)
+        .serve(&net, PeerAddr::new(addr))
+        .unwrap();
     let engine = AlfredOEngine::new(
         Framework::new(),
         net,

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use alfredo_core::session::ActionOutcome;
 use alfredo_core::{
-    host_service, serve_device, Action, AlfredOEngine, Binding, ControllerProgram, EngineConfig,
+    host_service, Action, AlfredOEngine, Binding, ControllerProgram, Device, EngineConfig,
     MethodCall, Rule, ServiceDescriptor, Trigger,
 };
 use alfredo_net::{InMemoryNetwork, PeerAddr};
@@ -113,7 +113,9 @@ fn rig(addr: &str) -> Rig {
     let net = InMemoryNetwork::new();
     let device_fw = Framework::new();
     build_device(&device_fw);
-    let device = serve_device(&net, device_fw.clone(), PeerAddr::new(addr)).unwrap();
+    let device = Device::new(device_fw.clone())
+        .serve(&net, PeerAddr::new(addr))
+        .unwrap();
     let engine = AlfredOEngine::new(
         Framework::new(),
         net,

@@ -7,8 +7,8 @@ use std::time::Duration;
 use alfredo_apps::shop::{link_comparison_logic, COMPARE_INTERFACE};
 use alfredo_apps::{register_shop, sample_catalog, SHOP_INTERFACE};
 use alfredo_core::{
-    register_data_store, serve_device, AlfredOEngine, ClientContext, DataReplica, EngineConfig,
-    RuntimeOptimizer, ThinClientPolicy,
+    register_data_store, AlfredOEngine, ClientContext, DataReplica, Device, EngineConfig,
+    RuntimeOptimizer, ServedDevice, ThinClientPolicy,
 };
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_osgi::{CodeRegistry, Framework, Value};
@@ -20,7 +20,9 @@ fn online_optimizer_moves_slow_component_mid_session() {
     let net = InMemoryNetwork::new();
     let device_fw = Framework::new();
     register_shop(&device_fw, sample_catalog()).unwrap();
-    let _device = serve_device(&net, device_fw, PeerAddr::new("opt-screen")).unwrap();
+    let _device = Device::new(device_fw)
+        .serve(&net, PeerAddr::new("opt-screen"))
+        .unwrap();
 
     // Trusted phone, but starts with the thin-client policy: everything
     // remote.
@@ -84,7 +86,9 @@ fn optimizer_refuses_in_untrusted_sessions() {
     let net = InMemoryNetwork::new();
     let device_fw = Framework::new();
     register_shop(&device_fw, sample_catalog()).unwrap();
-    let _device = serve_device(&net, device_fw, PeerAddr::new("opt-screen2")).unwrap();
+    let _device = Device::new(device_fw)
+        .serve(&net, PeerAddr::new("opt-screen2"))
+        .unwrap();
     let engine = AlfredOEngine::new(
         Framework::new(),
         net,
@@ -112,25 +116,15 @@ struct DataRig {
     device_fw: Framework,
     phone_fw: Framework,
     phone_ep: Arc<RemoteEndpoint>,
+    _device: ServedDevice,
 }
 
 fn data_rig(addr: &str) -> DataRig {
     let net = InMemoryNetwork::new();
     let device_fw = Framework::new();
-    let listener = net.bind(PeerAddr::new(addr)).unwrap();
-    let fw2 = device_fw.clone();
-    let label = addr.to_owned();
-    std::thread::spawn(move || {
-        while let Ok(conn) = listener.accept() {
-            let fw3 = fw2.clone();
-            let cfg = EndpointConfig::named(label.clone());
-            std::thread::spawn(move || {
-                if let Ok(ep) = RemoteEndpoint::establish(Box::new(conn), fw3, cfg) {
-                    ep.join();
-                }
-            });
-        }
-    });
+    let device = Device::new(device_fw.clone())
+        .serve(&net, PeerAddr::new(addr))
+        .unwrap();
     let phone_fw = Framework::new();
     let conn = net
         .connect(PeerAddr::new("data-phone"), PeerAddr::new(addr))
@@ -147,6 +141,7 @@ fn data_rig(addr: &str) -> DataRig {
         device_fw,
         phone_fw,
         phone_ep,
+        _device: device,
     }
 }
 

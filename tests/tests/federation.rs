@@ -2,7 +2,7 @@
 //! screen (§3.3's ScreenDevice example), with input capabilities staying
 //! local and frames pushed through the R-OSGi proxy.
 
-use alfredo_core::{project_ui, register_screen, serve_device, SCREEN_INTERFACE};
+use alfredo_core::{project_ui, register_screen, Device, SCREEN_INTERFACE};
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_osgi::Framework;
 use alfredo_rosgi::{EndpointConfig, RemoteEndpoint};
@@ -21,7 +21,9 @@ fn phone_projects_ui_onto_notebook_screen() {
     let net = InMemoryNetwork::new();
     let notebook_fw = Framework::new();
     let (screen, _reg) = register_screen(&notebook_fw, "Notebook", 1280, 800).unwrap();
-    let _device = serve_device(&net, notebook_fw, PeerAddr::new("fed-notebook")).unwrap();
+    let _device = Device::new(notebook_fw)
+        .serve(&net, PeerAddr::new("fed-notebook"))
+        .unwrap();
 
     let phone_fw = Framework::new();
     let conn = net
@@ -70,7 +72,9 @@ fn big_local_screen_keeps_rendering_local() {
     let kiosk_fw = Framework::new();
     // A tiny auxiliary screen on the remote device.
     let (screen, _reg) = register_screen(&kiosk_fw, "Badge display", 160, 80).unwrap();
-    let _device = serve_device(&net, kiosk_fw, PeerAddr::new("fed-badge")).unwrap();
+    let _device = Device::new(kiosk_fw)
+        .serve(&net, PeerAddr::new("fed-badge"))
+        .unwrap();
 
     let phone_fw = Framework::new();
     let conn = net
@@ -98,7 +102,9 @@ fn big_local_screen_keeps_rendering_local() {
 fn projection_requires_a_remote_screen_service() {
     let net = InMemoryNetwork::new();
     let bare_fw = Framework::new(); // no screen registered
-    let _device = serve_device(&net, bare_fw, PeerAddr::new("fed-bare")).unwrap();
+    let _device = Device::new(bare_fw)
+        .serve(&net, PeerAddr::new("fed-bare"))
+        .unwrap();
     let phone_fw = Framework::new();
     let conn = net
         .connect(PeerAddr::new("phone"), PeerAddr::new("fed-bare"))

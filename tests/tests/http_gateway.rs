@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use alfredo_apps::{register_shop, sample_catalog, SHOP_INTERFACE};
-use alfredo_core::{serve_device, AlfredOEngine, EngineConfig, HttpGateway};
+use alfredo_core::{AlfredOEngine, Device, EngineConfig, HttpGateway};
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_osgi::Framework;
 use alfredo_rosgi::DiscoveryDirectory;
@@ -54,7 +54,9 @@ fn browser_drives_the_shop_through_the_gateway() {
     let net = InMemoryNetwork::new();
     let screen_fw = Framework::new();
     register_shop(&screen_fw, sample_catalog()).unwrap();
-    let _device = serve_device(&net, screen_fw, PeerAddr::new("http-shop")).unwrap();
+    let _device = Device::new(screen_fw)
+        .serve(&net, PeerAddr::new("http-shop"))
+        .unwrap();
     let engine = AlfredOEngine::new(
         Framework::new(),
         net,

@@ -10,13 +10,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use alfredo_core::{
-    serve_device_durable, AlfredOEngine, DeviceJournal, DeviceJournalConfig, EngineConfig,
-    OutagePolicy, ResilienceConfig, ServedDevice,
+    AlfredOEngine, Device, DeviceJournal, DeviceJournalConfig, EngineConfig, OutagePolicy,
+    ResilienceConfig, ServedDevice,
 };
 use alfredo_net::{
     FaultPlan, FaultyTransport, InMemoryNetwork, PeerAddr, Transport, TransportError,
 };
-use alfredo_obs::Obs;
 use alfredo_osgi::{Framework, Value};
 use alfredo_rosgi::{DiscoveryDirectory, HealthState, HeartbeatConfig, ReconnectFn, RetryPolicy};
 use alfredo_ui::DeviceCapabilities;
@@ -76,15 +75,10 @@ fn boot_device(
     )
     .unwrap();
     let (store, _reg) = journal.register_store(&fw, STORE).unwrap();
-    let device = serve_device_durable(
-        net,
-        fw,
-        PeerAddr::new(addr),
-        Obs::disabled(),
-        None,
-        journal.lease_journal().clone(),
-    )
-    .unwrap();
+    let device = Device::new(fw)
+        .lease_journal(journal.lease_journal().clone())
+        .serve(net, PeerAddr::new(addr))
+        .unwrap();
     (journal, store, device)
 }
 
@@ -225,8 +219,7 @@ fn device_crash_recovers_10k_events_and_phone_resumes() {
 #[test]
 fn device_crash_mid_room_session_resumes_sequencing_and_leases() {
     use alfredo_core::{
-        register_room_hub, room_clock_ms, serve_device_rooms, RoomConfig, RoomHub, RoomReplica,
-        ROOMS_INTERFACE,
+        register_room_hub, room_clock_ms, Device, RoomConfig, RoomHub, RoomReplica, ROOMS_INTERFACE,
     };
 
     const ROOM: &str = "board";
@@ -246,25 +239,20 @@ fn device_crash_mid_room_session_resumes_sequencing_and_leases() {
         let hub = RoomHub::new(RoomConfig::new(ROOM));
         hub.adopt(Arc::clone(&room));
         let _reg = register_room_hub(&fw, Arc::clone(&hub)).unwrap();
-        let device = serve_device_rooms(
-            net,
-            fw,
-            PeerAddr::new("screen"),
-            Obs::disabled(),
-            hub,
-            // Tolerant device-side heartbeat: the crash in this test is
-            // the device's, and the partition window must not race an
-            // eviction into the journal before the stop lands.
-            HeartbeatConfig {
-                interval: Duration::from_millis(40),
-                timeout: Duration::from_millis(250),
-                degraded_after: 2,
-                disconnected_after: 50,
-            },
-            None,
-            Some(journal.lease_journal().clone()),
-        )
-        .unwrap();
+        // Tolerant device-side heartbeat: the crash in this test is the
+        // device's, and the partition window must not race an eviction
+        // into the journal before the stop lands.
+        let heartbeat = HeartbeatConfig {
+            interval: Duration::from_millis(40),
+            timeout: Duration::from_millis(250),
+            degraded_after: 2,
+            disconnected_after: 50,
+        };
+        let device = Device::new(fw)
+            .rooms(hub, heartbeat)
+            .lease_journal(journal.lease_journal().clone())
+            .serve(net, PeerAddr::new("screen"))
+            .unwrap();
         (journal, room, device)
     };
 

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use alfredo_apps::mouse::{SNAPSHOT_HEIGHT, SNAPSHOT_TOPIC, SNAPSHOT_WIDTH};
 use alfredo_apps::{register_mouse_controller, MouseControllerService, MOUSE_INTERFACE};
-use alfredo_core::{serve_device, AlfredOEngine, EngineConfig};
+use alfredo_core::{AlfredOEngine, Device, EngineConfig};
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_osgi::Framework;
 use alfredo_rosgi::DiscoveryDirectory;
@@ -22,7 +22,7 @@ fn rig(addr: &str, phone_caps: DeviceCapabilities) -> Rig {
     let net = InMemoryNetwork::new();
     let fw = Framework::new();
     let (service, _reg) = register_mouse_controller(&fw, 1280, 800).unwrap();
-    let device = serve_device(&net, fw, PeerAddr::new(addr)).unwrap();
+    let device = Device::new(fw).serve(&net, PeerAddr::new(addr)).unwrap();
     let engine = AlfredOEngine::new(
         Framework::new(),
         net,

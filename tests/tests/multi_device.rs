@@ -10,7 +10,7 @@ use alfredo_apps::{
     register_coffee_machine, register_mouse_controller, register_shop, sample_catalog,
     COFFEE_INTERFACE, MOUSE_INTERFACE, SHOP_INTERFACE,
 };
-use alfredo_core::{serve_device, serve_device_queued, AlfredOEngine, EngineConfig};
+use alfredo_core::{AlfredOEngine, Device, EngineConfig};
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_obs::{Obs, SpanRecord};
 use alfredo_osgi::{Framework, Value};
@@ -24,15 +24,21 @@ fn one_phone_drives_three_devices_concurrently() {
     // Three target devices of different kinds.
     let laptop_fw = Framework::new();
     let (mouse, _r) = register_mouse_controller(&laptop_fw, 1280, 800).unwrap();
-    let _laptop = serve_device(&net, laptop_fw, PeerAddr::new("md-laptop")).unwrap();
+    let _laptop = Device::new(laptop_fw)
+        .serve(&net, PeerAddr::new("md-laptop"))
+        .unwrap();
 
     let screen_fw = Framework::new();
     register_shop(&screen_fw, sample_catalog()).unwrap();
-    let _screen = serve_device(&net, screen_fw, PeerAddr::new("md-screen")).unwrap();
+    let _screen = Device::new(screen_fw)
+        .serve(&net, PeerAddr::new("md-screen"))
+        .unwrap();
 
     let kitchen_fw = Framework::new();
     let (coffee, _r) = register_coffee_machine(&kitchen_fw).unwrap();
-    let _kitchen = serve_device(&net, kitchen_fw, PeerAddr::new("md-kitchen")).unwrap();
+    let _kitchen = Device::new(kitchen_fw)
+        .serve(&net, PeerAddr::new("md-kitchen"))
+        .unwrap();
 
     // One phone, one framework, three simultaneous sessions.
     let engine = AlfredOEngine::new(
@@ -102,7 +108,9 @@ fn one_appliance_serves_many_phones() {
     let kitchen_fw = Framework::new();
     let (coffee, _r) = register_coffee_machine(&kitchen_fw).unwrap();
     let coffee = Arc::new(coffee);
-    let _kitchen = serve_device(&net, kitchen_fw, PeerAddr::new("mp-kitchen")).unwrap();
+    let _kitchen = Device::new(kitchen_fw)
+        .serve(&net, PeerAddr::new("mp-kitchen"))
+        .unwrap();
 
     // Eight phones hammer the machine concurrently: every knob turn and
     // status query must succeed; brews race and exactly the resourced
@@ -199,14 +207,10 @@ fn eight_phones_converge_hit_tier_cache_and_trace_connected() {
     let kitchen_fw = Framework::new();
     register_coffee_machine(&kitchen_fw).unwrap();
     let queue = ServeQueue::new(ServeQueueConfig::workers(4));
-    let device = serve_device_queued(
-        &net,
-        kitchen_fw,
-        PeerAddr::new("sc-kitchen"),
-        Obs::disabled(),
-        queue,
-    )
-    .unwrap();
+    let device = Device::new(kitchen_fw)
+        .queue(queue)
+        .serve(&net, PeerAddr::new("sc-kitchen"))
+        .unwrap();
 
     let mut handles = Vec::new();
     for p in 0..8 {

@@ -17,9 +17,9 @@ use std::time::{Duration, Instant};
 
 use alfredo_core::session::ActionOutcome;
 use alfredo_core::{
-    decode_migration, decode_ui_event, host_service, record_executed, serve_device_with_obs,
-    AlfredOConnection, AlfredOEngine, AlfredOSession, Binding, ClientContext, ControllerProgram,
-    DependencySpec, EngineConfig, MethodCall, OutagePolicy, Placement, PlacementController,
+    decode_migration, decode_ui_event, host_service, record_executed, AlfredOConnection,
+    AlfredOEngine, AlfredOSession, Binding, ClientContext, ControllerProgram, DependencySpec,
+    Device, EngineConfig, MethodCall, OutagePolicy, Placement, PlacementController,
     PlacementControllerConfig, ResilienceConfig, ResourceRequirements, Rule, ServedDevice,
     ServiceDescriptor, SignalSampler, ThinClientPolicy,
 };
@@ -251,7 +251,10 @@ fn build_rig(
     let device_fw = Framework::new();
     let counter = Arc::new(CounterLogic::default());
     register_counter_app(&device_fw, Arc::clone(&counter));
-    let device = serve_device_with_obs(&net, device_fw, PeerAddr::new(addr), obs.clone()).unwrap();
+    let device = Device::new(device_fw)
+        .obs(obs.clone())
+        .serve(&net, PeerAddr::new(addr))
+        .unwrap();
 
     let code = CodeRegistry::new();
     code.register_service(COUNTER_FACTORY_KEY, move || {

@@ -5,7 +5,7 @@
 use alfredo_apps::shop::{link_comparison_logic, COMPARE_INTERFACE, SHOP_INTERFACE};
 use alfredo_apps::{register_shop, sample_catalog};
 use alfredo_core::session::ActionOutcome;
-use alfredo_core::{serve_device, AlfredOEngine, EngineConfig, LogicOffloadPolicy};
+use alfredo_core::{AlfredOEngine, Device, EngineConfig, LogicOffloadPolicy};
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_osgi::{CodeRegistry, Framework};
 use alfredo_rosgi::DiscoveryDirectory;
@@ -14,7 +14,7 @@ use alfredo_ui::{DeviceCapabilities, UiEvent};
 fn shop_device(net: &InMemoryNetwork, addr: &str) -> alfredo_core::engine::ServedDevice {
     let fw = Framework::new();
     register_shop(&fw, sample_catalog()).unwrap();
-    serve_device(net, fw, PeerAddr::new(addr)).unwrap()
+    Device::new(fw).serve(net, PeerAddr::new(addr)).unwrap()
 }
 
 fn phone_engine(net: &InMemoryNetwork, name: &str) -> AlfredOEngine {
@@ -220,7 +220,9 @@ fn device_shutdown_tears_down_phone_proxies() {
     let net = InMemoryNetwork::new();
     let fw = Framework::new();
     register_shop(&fw, sample_catalog()).unwrap();
-    let device = serve_device(&net, fw, PeerAddr::new("screen-5")).unwrap();
+    let device = Device::new(fw)
+        .serve(&net, PeerAddr::new("screen-5"))
+        .unwrap();
 
     let engine = phone_engine(&net, "phone");
     let conn = engine.connect(&PeerAddr::new("screen-5")).unwrap();

@@ -11,9 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use alfredo_apps::{register_shop, sample_catalog, SHOP_INTERFACE};
-use alfredo_core::{serve_device_tcp, AlfredOEngine, EngineConfig};
+use alfredo_core::{AlfredOEngine, Device, EngineConfig};
 use alfredo_net::{TcpNetListener, TcpTransport, Transport};
-use alfredo_obs::Obs;
 use alfredo_osgi::Framework;
 use alfredo_rosgi::{
     DiscoveryDirectory, EndpointConfig, RemoteEndpoint, ServeQueue, ServeQueueConfig,
@@ -27,8 +26,10 @@ fn shop_session_over_real_tcp() {
     register_shop(&device_fw, sample_catalog()).unwrap();
     let listener = TcpNetListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
-    let queue = ServeQueue::new(ServeQueueConfig::workers(2));
-    let device = serve_device_tcp(listener, device_fw, Obs::disabled(), Some(queue));
+    let device = Device::new(device_fw)
+        .queue(ServeQueue::new(ServeQueueConfig::workers(2)))
+        .serve_tcp(listener)
+        .unwrap();
 
     // --- phone: engine over a TCP transport ------------------------------
     let engine = AlfredOEngine::new(
@@ -204,21 +205,9 @@ fn faulty_tcp_endpoint_reconnects_with_wheel_heartbeat() {
     use alfredo_net::{FaultPlan, FaultyTransport, Transport, TransportError};
     use alfredo_rosgi::{HealthState, HeartbeatConfig, ReconnectConfig, ReconnectFn};
 
-    // Device: accept forever; hand each established endpoint to the test.
-    let device_fw = Framework::new();
     let listener = TcpNetListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
-    let fw2 = device_fw.clone();
-    let (ep_tx, ep_rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        while let Ok(conn) = listener.accept() {
-            if let Ok(ep) =
-                RemoteEndpoint::establish(Box::new(conn), fw2.clone(), EndpointConfig::named("dev"))
-            {
-                let _ = ep_tx.send(ep);
-            }
-        }
-    });
+    let device = Device::new(Framework::new()).serve_tcp(listener).unwrap();
 
     // Phone: faulty wrapper over TCP, wheel heartbeat, reconnect by
     // dialing a fresh (un-wrapped) TCP transport.
@@ -246,7 +235,6 @@ fn faulty_tcp_endpoint_reconnects_with_wheel_heartbeat() {
             .with_reconnect(ReconnectConfig::new(dial)),
     )
     .unwrap();
-    let _dev_ep = ep_rx.recv_timeout(Duration::from_secs(5)).unwrap();
 
     // The connection is reactor-served: the stats snapshot shows the
     // fixed I/O budget and at least this one registered connection.
@@ -276,4 +264,150 @@ fn faulty_tcp_endpoint_reconnects_with_wheel_heartbeat() {
     assert_eq!(stats.reconnects, 1, "{stats:?}");
     assert!(stats.heartbeats_missed >= 2, "{stats:?}");
     ep.close();
+    device.stop();
+}
+
+/// The cell of the listener × options matrix no device could serve
+/// before the builder: a room hub and a lease journal behind a TCP
+/// listener. Two phones share a room over real sockets; one walks away
+/// and is evicted on the wheel-driven lease cadence; `stop()` closes the
+/// survivor's endpoint without journaling it out of the room; a device
+/// reopened on the same journal directory has the room as it was left.
+#[test]
+fn tcp_device_hosts_a_journaled_room() {
+    use alfredo_core::{
+        presence_key, register_room_hub, room_clock_ms, room_update_topic, DeviceJournal,
+        DeviceJournalConfig, RoomConfig, RoomHub, RoomOp, RoomReplica, RoomUpdate, ROOMS_INTERFACE,
+    };
+    use alfredo_osgi::Value;
+    use alfredo_rosgi::{HealthState, HeartbeatConfig};
+
+    const ROOM: &str = "board";
+    const ROUNDS: i64 = 20;
+    let timeout = Duration::from_secs(5);
+    let dir = std::env::temp_dir().join(format!("alfredo-tcp-room-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let boot = || {
+        let fw = Framework::new();
+        let journal = DeviceJournal::open(DeviceJournalConfig::new(&dir)).unwrap();
+        let room = journal.register_room(RoomConfig::new(ROOM), None, room_clock_ms());
+        let hub = RoomHub::new(RoomConfig::new(ROOM));
+        hub.adopt(Arc::clone(&room));
+        let _reg = register_room_hub(&fw, Arc::clone(&hub)).unwrap();
+        // A patient device-side heartbeat: no member of this test goes
+        // silent, so none may be taken for dead on a busy machine.
+        let heartbeat = HeartbeatConfig {
+            interval: Duration::from_millis(40),
+            timeout: Duration::from_millis(250),
+            degraded_after: 2,
+            disconnected_after: 50,
+        };
+        let device = Device::new(fw)
+            .rooms(Arc::clone(&hub), heartbeat)
+            .lease_journal(journal.lease_journal().clone())
+            .serve_tcp(TcpNetListener::bind("127.0.0.1:0").unwrap())
+            .unwrap();
+        (journal, room, hub, device)
+    };
+    let (journal, room, hub, device) = boot();
+
+    // A phone: an endpoint over a TCP transport, a replica fed by its
+    // event bus, and a probe that reports every update after the replica
+    // has applied it (subscribers run in subscription order).
+    let phone = |name: &str| {
+        let fw = Framework::new();
+        let replica = RoomReplica::new(ROOM);
+        replica.attach(fw.event_admin());
+        let (tx, updates) = mpsc::channel();
+        fw.event_admin()
+            .subscribe(room_update_topic(ROOM), move |event| {
+                let _ = tx.send(RoomUpdate::from_properties(&event.properties));
+            });
+        let wire = TcpTransport::connect(device.addr()).unwrap();
+        let ep =
+            RemoteEndpoint::establish(Box::new(wire), fw, EndpointConfig::named(name)).unwrap();
+        (ep, replica, updates)
+    };
+    let (alice, alice_replica, _alice_updates) = phone("alice");
+    let (bob, bob_replica, bob_updates) = phone("bob");
+    // `join` resolves a member's sink from the roster, and a phone's
+    // handshake can return before the device has rostered its side.
+    let deadline = std::time::Instant::now() + timeout;
+    while device.connections() < 2 {
+        assert!(std::time::Instant::now() < deadline, "phones not rostered");
+        std::thread::yield_now();
+    }
+
+    let call = |(who, ep): (&str, &RemoteEndpoint), method: &str, args: &[Value]| {
+        let mut full = vec![Value::Str(ROOM.into()), Value::Str(who.into())];
+        full.extend_from_slice(args);
+        ep.invoke(ROOMS_INTERFACE, method, &full).unwrap()
+    };
+    let members = [("alice", &alice), ("bob", &bob)];
+    assert_eq!(call(members[0], "join", &[]), Value::I64(1));
+    assert_eq!(call(members[1], "join", &[]), Value::I64(2));
+    for i in 0..2 * ROUNDS {
+        let key = Value::Str(format!("k{}", i % 7));
+        let seq = call(members[i as usize % 2], "publish", &[key, Value::I64(i)]);
+        assert_eq!(seq, Value::I64(3 + i), "gap-free seqs");
+    }
+    // Every publish fanned out before it was acknowledged, and frames are
+    // handled in order: once a ping is back, so is every delta before it.
+    let last = 2 + 2 * ROUNDS as u64;
+    assert_eq!(room.seq(), last);
+    for (ep, replica) in [(&alice, &alice_replica), (&bob, &bob_replica)] {
+        ep.ping(timeout).unwrap();
+        assert_eq!(replica.last_seq(), last);
+        assert_eq!(replica.state_json(), room.state_json(), "byte-identical");
+        assert_eq!((replica.gaps(), replica.duplicates()), (0, 0));
+    }
+
+    // Alice walks away. Her endpoint's close expires her lease, the next
+    // tick of the lease cadence evicts her, and Bob sees her presence go.
+    alice.close();
+    loop {
+        let update = bob_updates.recv_timeout(timeout).expect("presence delta");
+        if let Some(RoomUpdate::Delta(delta)) = update {
+            if delta.key == presence_key("alice") {
+                assert_eq!((delta.seq, &delta.op), (last + 1, &RoomOp::Remove));
+                break;
+            }
+        }
+    }
+    assert_eq!(bob_replica.members(), vec!["bob"]);
+    // (The counter is bumped just after the delta that Bob saw went out.)
+    let deadline = std::time::Instant::now() + timeout;
+    while room.stats().evicted != 1 {
+        assert!(std::time::Instant::now() < deadline, "{:?}", room.stats());
+        std::thread::yield_now();
+    }
+
+    // stop() closes the rostered endpoint: Bob's side sees the wire go.
+    let (health_tx, health) = mpsc::channel();
+    bob.on_health(move |ev| {
+        let _ = health_tx.send(ev.to);
+    });
+    journal.barrier().unwrap();
+    let state = room.state_json();
+    device.stop();
+    while health.recv_timeout(timeout).expect("bob's wire closes") != HealthState::Disconnected {}
+    bob.join(); // the teardown that follows the wire going down
+    assert!(bob.is_closed());
+    // The hub outlives the device and holds on to none of its endpoints.
+    assert!(format!("{hub:?}").contains("endpoints: 0"), "{hub:?}");
+    drop(room);
+    journal.close().unwrap();
+
+    // Reopened on the same directory: same seq, same bytes, and Bob still
+    // seated — closing his endpoint at stop() was not journaled as an
+    // eviction.
+    let (journal, room, _hub, device) = boot();
+    let recovered = journal.recovery().rooms.get(ROOM).cloned().unwrap();
+    assert_eq!(recovered.seq, last + 1);
+    assert_eq!(recovered.members(), vec!["bob"]);
+    assert_eq!(room.state_json(), state);
+    device.stop();
+    journal.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,18 +1,24 @@
 //! What an in-memory endpoint costs in threads: one pump per connection
 //! half, owned by the transport, and nothing of the endpoint's own — no
 //! reader, no heartbeat thread (heartbeats tick on the shared timer
-//! wheel). Closing gives the pumps back. Alone in its test binary: it
+//! wheel). Closing gives the pumps back. A served device adds one accept
+//! thread, whatever the number of phones. Alone in its test binary: it
 //! counts the process's threads by name, which tests running beside it
-//! would move.
+//! would move — its own two tests take turns.
 #![cfg(target_os = "linux")]
 
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use alfredo_core::Device;
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_osgi::Framework;
 use alfredo_rosgi::{EndpointConfig, HeartbeatConfig, RemoteEndpoint};
 
 const PAIRS: usize = 16;
+
+/// Held by whichever test is counting threads.
+static COUNTING: Mutex<()> = Mutex::new(());
 
 /// The names (`/proc/<pid>/task/<tid>/comm`, at most 15 bytes) of this
 /// process's threads that start with `prefix`, sorted.
@@ -43,6 +49,7 @@ fn establish(conn: alfredo_net::ChannelTransport, name: String) -> RemoteEndpoin
 
 #[test]
 fn in_memory_endpoints_cost_one_pump_per_half_and_return_it() {
+    let _turn = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
     let net = InMemoryNetwork::new();
     let mut endpoints = Vec::new();
     for i in 0..PAIRS {
@@ -82,5 +89,78 @@ fn in_memory_endpoints_cost_one_pump_per_half_and_return_it() {
         "the teardown threads to exit",
         Duration::from_secs(5),
         || threads_named("rosgi-").is_empty(),
+    );
+}
+
+/// The reactor's pollers and its timer wheel (which the handshake reaper
+/// runs on) start once per process, with the first served device.
+fn process_wide(name: &str) -> bool {
+    name.starts_with("alfredo-io-") || name == "alfredo-timer-w"
+}
+
+/// The harness's thread for the other test (named after it, both start
+/// `in_memory_`) may show up at any moment, to park on `COUNTING`.
+fn harness(name: &str) -> bool {
+    name.starts_with("in_memory_")
+}
+
+#[test]
+fn in_memory_device_owns_one_accept_thread_however_many_phones() {
+    let _turn = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+    let net = InMemoryNetwork::new();
+    let device = Device::new(Framework::new())
+        .serve(&net, PeerAddr::new("dev"))
+        .expect("serve");
+    wait_until("the accept thread", Duration::from_secs(5), || {
+        threads_named("alfredo-device-") == ["alfredo-device-"]
+    });
+    let before = threads_named("");
+
+    let phones: Vec<RemoteEndpoint> = (0..PAIRS)
+        .map(|i| {
+            let name = format!("ph{i}");
+            let wire = net
+                .connect(PeerAddr::new(name.clone()), PeerAddr::new("dev"))
+                .expect("connect");
+            let config = EndpointConfig::named(name);
+            RemoteEndpoint::establish(Box::new(wire), Framework::new(), config).expect("handshake")
+        })
+        .collect();
+    wait_until("every phone rostered", Duration::from_secs(5), || {
+        device.connections() == PAIRS
+    });
+
+    // What 16 connected phones added: the two pumps of each connection,
+    // which are the transports'. Still one accept thread, the handshake
+    // threads are gone; nothing per connection.
+    let mut expected: Vec<String> = (0..PAIRS)
+        .flat_map(|i| [format!("net-pump-ph{i}"), "net-pump-dev".to_owned()])
+        .collect();
+    expected.sort();
+    wait_until("only the pumps were added", Duration::from_secs(5), || {
+        let mut added = threads_named("");
+        added.retain(|name| !process_wide(name) && !harness(name));
+        for name in &before {
+            // (A thread of `before` may have left: the other test's.)
+            if let Some(at) = added.iter().position(|n| n == name) {
+                added.remove(at);
+            }
+        }
+        added == expected
+    });
+
+    for phone in &phones {
+        phone.close();
+    }
+    device.stop();
+    wait_until(
+        "the device's threads to exit",
+        Duration::from_secs(5),
+        || {
+            threads_named("alfredo-")
+                .iter()
+                .all(|name| process_wide(name))
+                && threads_named("net-pump-").is_empty()
+        },
     );
 }

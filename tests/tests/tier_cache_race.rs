@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use alfredo_core::{host_service, serve_device, AlfredOEngine, EngineConfig, ServiceDescriptor};
+use alfredo_core::{host_service, AlfredOEngine, Device, EngineConfig, ServiceDescriptor};
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_osgi::{
     FnService, Framework, MethodSpec, ParamSpec, Properties, ServiceInterfaceDesc,
@@ -88,7 +88,9 @@ fn lru_eviction_races_digest_change_on_rehost() {
     let _a = host_marked(&fw, "race.A", "stable-A").unwrap();
     let b = host_marked(&fw, "race.B", "b-v0").unwrap();
     let _c = host_marked(&fw, "race.C", "stable-C").unwrap();
-    let device = serve_device(&net, fw.clone(), PeerAddr::new("tc-dev")).unwrap();
+    let device = Device::new(fw.clone())
+        .serve(&net, PeerAddr::new("tc-dev"))
+        .unwrap();
 
     // Budget for two of the three bundles: rotating acquires evict.
     let one = bundle_bytes(&net, &PeerAddr::new("tc-dev"), "race.A");
@@ -204,7 +206,9 @@ fn digest_change_never_serves_stale_tier() {
     let net = InMemoryNetwork::new();
     let fw = Framework::new();
     let reg = host_marked(&fw, "race.S", "original").unwrap();
-    let device = serve_device(&net, fw.clone(), PeerAddr::new("tc-dev2")).unwrap();
+    let device = Device::new(fw.clone())
+        .serve(&net, PeerAddr::new("tc-dev2"))
+        .unwrap();
 
     let engine = phone(&net, "careful", 1 << 20);
     let conn = engine.connect(&PeerAddr::new("tc-dev2")).unwrap();

@@ -8,9 +8,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use alfredo_apps::{register_mouse_controller, MOUSE_INTERFACE};
-use alfredo_core::{
-    serve_device_with_obs, AlfredOEngine, EngineConfig, OutagePolicy, ResilienceConfig,
-};
+use alfredo_core::{AlfredOEngine, Device, EngineConfig, OutagePolicy, ResilienceConfig};
 use alfredo_net::{InMemoryNetwork, PeerAddr};
 use alfredo_obs::{Obs, SpanRecord};
 use alfredo_osgi::{Framework, Json, Value};
@@ -86,8 +84,10 @@ fn mouse_interaction_produces_one_connected_span_tree() {
     let net = InMemoryNetwork::new();
     let device_fw = Framework::new();
     let (_service, _reg) = register_mouse_controller(&device_fw, 1280, 800).unwrap();
-    let device =
-        serve_device_with_obs(&net, device_fw, PeerAddr::new("laptop"), obs.clone()).unwrap();
+    let device = Device::new(device_fw)
+        .obs(obs.clone())
+        .serve(&net, PeerAddr::new("laptop"))
+        .unwrap();
 
     let config = EngineConfig::phone("phone", DeviceCapabilities::nokia_9300i())
         .with_resilience(resilience())
@@ -225,7 +225,9 @@ fn metrics_surface_over_http() {
     let net = InMemoryNetwork::new();
     let device_fw = Framework::new();
     let (_service, _reg) = register_mouse_controller(&device_fw, 640, 480).unwrap();
-    let device = alfredo_core::serve_device(&net, device_fw, PeerAddr::new("tv")).unwrap();
+    let device = alfredo_core::Device::new(device_fw)
+        .serve(&net, PeerAddr::new("tv"))
+        .unwrap();
 
     let config = EngineConfig::phone("phone", DeviceCapabilities::nokia_9300i());
     let engine = AlfredOEngine::new(
