@@ -18,13 +18,21 @@
 //!
 //! Eviction is LRU under a byte budget (an artifact's cost is its
 //! canonical encoding's length — exactly the bytes a cache hit saves).
+//!
+//! An entry is a shared `CachedTier`: beside the parts it keeps the
+//! [`ServiceDescriptor`] decoded and validated from them the first time an
+//! acquire needed it, so a warm walk-up neither copies the parts nor
+//! parses the descriptor again.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use alfredo_obs::{Counter, Gauge, Obs};
-use alfredo_rosgi::ServiceParts;
+use alfredo_osgi::Value;
+use alfredo_rosgi::{FetchedService, RemoteEndpoint, RosgiError, ServiceParts, PROP_TIER_DIGEST};
 use alfredo_sync::Mutex;
+
+use crate::descriptor::{DescriptorError, ServiceDescriptor};
 
 /// Default byte budget: enough for dozens of descriptors (each ~2 kB,
 /// §4.1) while staying phone-sized.
@@ -45,8 +53,63 @@ pub struct TierCacheStats {
     pub bytes: usize,
 }
 
-struct CacheEntry {
+/// One tier as the cache hands it out: the shipped parts and, once an
+/// acquire has asked for it, the descriptor decoded from them.
+pub(crate) struct CachedTier {
     parts: ServiceParts,
+    descriptor: OnceLock<Arc<ServiceDescriptor>>,
+}
+
+impl CachedTier {
+    fn new(parts: ServiceParts) -> Self {
+        CachedTier {
+            parts,
+            descriptor: OnceLock::new(),
+        }
+    }
+
+    /// The descriptor the parts ship (`None` if they ship none), decoded
+    /// and validated on the first call and shared by every later one.
+    pub(crate) fn descriptor(&self) -> Result<Option<Arc<ServiceDescriptor>>, DescriptorError> {
+        if let Some(descriptor) = self.descriptor.get() {
+            return Ok(Some(Arc::clone(descriptor)));
+        }
+        let Some(bytes) = self.parts.descriptor.as_deref() else {
+            return Ok(None);
+        };
+        let decoded = ServiceDescriptor::decode(bytes)?;
+        decoded.validate()?;
+        // Two racing first calls both decode; the first to land is kept.
+        Ok(Some(Arc::clone(
+            self.descriptor.get_or_init(|| Arc::new(decoded)),
+        )))
+    }
+}
+
+/// How [`TierCache::fetch`] came by a tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lookup {
+    /// The advertised digest was cached: nothing crossed the wire.
+    Hit,
+    /// The advertised digest was not cached.
+    Miss,
+    /// The lease advertised no digest, so there was nothing to look up.
+    NoDigest,
+}
+
+impl Lookup {
+    /// The value of a phase span's `tier_cache` attribute.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            Lookup::Hit => "hit",
+            Lookup::Miss => "miss",
+            Lookup::NoDigest => "no-digest",
+        }
+    }
+}
+
+struct CacheEntry {
+    tier: Arc<CachedTier>,
     bytes: usize,
 }
 
@@ -99,20 +162,45 @@ impl TierCache {
         }
     }
 
-    /// Looks up the artifacts advertised under `digest`, refreshing their
+    /// Installs `interface`'s tier on `endpoint`, going to the wire only
+    /// on a miss — the one cache-or-fetch path of both `acquire` and a
+    /// phone-bound migration. The live lease's advertised
+    /// [`PROP_TIER_DIGEST`] is the key: a hit installs the cached parts
+    /// with zero transfer; a miss, or a device that advertises no digest,
+    /// pays the full fetch and caches what it shipped.
+    pub(crate) fn fetch(
+        &self,
+        endpoint: &RemoteEndpoint,
+        interface: &str,
+    ) -> Result<(FetchedService, Arc<CachedTier>, Lookup), RosgiError> {
+        let lookup = match advertised_digest(endpoint, interface) {
+            Some(digest) => match self.get(digest) {
+                Some(tier) => {
+                    let fetched = endpoint.install_cached_service(&tier.parts)?;
+                    return Ok((fetched, tier, Lookup::Hit));
+                }
+                None => Lookup::Miss,
+            },
+            None => {
+                self.inner.misses.inc();
+                Lookup::NoDigest
+            }
+        };
+        let (fetched, parts) = endpoint.fetch_service_with_parts(interface)?;
+        Ok((fetched, self.insert(parts), lookup))
+    }
+
+    /// Looks up the tier advertised under `digest`, refreshing its
     /// recency. Counts a hit or a miss.
-    pub fn get(&self, digest: u64) -> Option<ServiceParts> {
+    fn get(&self, digest: u64) -> Option<Arc<CachedTier>> {
         let inner = &self.inner;
         let mut state = inner.state.lock();
         if let Some(entry) = state.entries.get(&digest) {
-            let parts = entry.parts.clone();
-            if let Some(pos) = state.order.iter().position(|d| *d == digest) {
-                state.order.remove(pos);
-            }
-            state.order.push(digest);
+            let tier = Arc::clone(&entry.tier);
+            touch(&mut state.order, digest);
             drop(state);
             inner.hits.inc();
-            Some(parts)
+            Some(tier)
         } else {
             drop(state);
             inner.misses.inc();
@@ -120,30 +208,23 @@ impl TierCache {
         }
     }
 
-    /// Records a miss that never reached [`TierCache::get`] — the lease
-    /// advertised no digest, so there was nothing to look up.
-    pub fn note_miss(&self) {
-        self.inner.misses.inc();
-    }
-
     /// Caches `parts` under their content digest, evicting
-    /// least-recently-used entries until the budget holds. Bundles larger
-    /// than the whole budget are not cached. Re-inserting an existing
-    /// digest just refreshes its recency.
-    pub fn insert(&self, parts: ServiceParts) {
+    /// least-recently-used entries until the budget holds, and returns the
+    /// entry. Bundles larger than the whole budget are handed back
+    /// uncached. Re-inserting an existing digest refreshes its recency and
+    /// returns the entry already held (with its decoded descriptor).
+    fn insert(&self, parts: ServiceParts) -> Arc<CachedTier> {
         let inner = &self.inner;
         let bytes = parts.canonical_bytes().len();
         if bytes > inner.max_bytes {
-            return;
+            return Arc::new(CachedTier::new(parts));
         }
         let digest = parts.digest();
         let mut state = inner.state.lock();
-        if state.entries.contains_key(&digest) {
-            if let Some(pos) = state.order.iter().position(|d| *d == digest) {
-                state.order.remove(pos);
-            }
-            state.order.push(digest);
-            return;
+        if let Some(entry) = state.entries.get(&digest) {
+            let tier = Arc::clone(&entry.tier);
+            touch(&mut state.order, digest);
+            return tier;
         }
         let mut evicted = 0u64;
         while state.bytes + bytes > inner.max_bytes {
@@ -153,7 +234,14 @@ impl TierCache {
                 evicted += 1;
             }
         }
-        state.entries.insert(digest, CacheEntry { parts, bytes });
+        let tier = Arc::new(CachedTier::new(parts));
+        state.entries.insert(
+            digest,
+            CacheEntry {
+                tier: Arc::clone(&tier),
+                bytes,
+            },
+        );
         state.order.push(digest);
         state.bytes += bytes;
         inner.entries_gauge.set(state.entries.len() as i64);
@@ -162,6 +250,7 @@ impl TierCache {
         if evicted > 0 {
             inner.evictions.add(evicted);
         }
+        tier
     }
 
     /// Lifetime counters and current size.
@@ -176,6 +265,29 @@ impl TierCache {
             bytes: state.bytes,
         }
     }
+}
+
+/// Moves `digest` to the most-recent end of the recency order.
+fn touch(order: &mut Vec<u64>, digest: u64) {
+    if let Some(pos) = order.iter().position(|d| *d == digest) {
+        order.remove(pos);
+    }
+    order.push(digest);
+}
+
+/// The content digest `endpoint`'s live lease advertises for `interface`,
+/// if any.
+fn advertised_digest(endpoint: &RemoteEndpoint, interface: &str) -> Option<u64> {
+    endpoint
+        .remote_services()
+        .iter()
+        .find(|s| s.offers(interface))
+        .and_then(|s| {
+            s.properties
+                .get(PROP_TIER_DIGEST)
+                .and_then(Value::as_str)
+                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        })
 }
 
 impl std::fmt::Debug for TierCache {
@@ -212,7 +324,7 @@ mod tests {
         assert!(cache.get(digest).is_none());
         cache.insert(p.clone());
         let got = cache.get(digest).expect("cached");
-        assert_eq!(got.digest(), digest);
+        assert_eq!(got.parts.digest(), digest);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!(stats.bytes > 0);
@@ -245,6 +357,30 @@ mod tests {
         assert!(cache.get(d.digest()).is_some());
         assert!(cache.stats().evictions >= 1);
         assert!(cache.stats().bytes <= one * 3 + one / 2);
+    }
+
+    #[test]
+    fn descriptor_decodes_once_per_entry() {
+        use alfredo_ui::{Control, UiDescription};
+        let cache = TierCache::new(DEFAULT_TIER_CACHE_BYTES, &Obs::disabled());
+        let descriptor = ServiceDescriptor::new(
+            "a.A",
+            UiDescription::new("a").with_control(Control::label("l", "x")),
+        );
+        let decoded = |tier: Arc<CachedTier>| tier.descriptor().expect("decodes");
+        let mut p = parts("a.A", 1);
+        p.descriptor = Some(descriptor.encode());
+        let first = decoded(cache.insert(p.clone())).expect("shipped");
+        assert_eq!(*first, descriptor);
+        // A hit and a re-insert (a racing miss) both hand out the entry
+        // already held, descriptor decoded.
+        let hit = decoded(cache.get(p.digest()).expect("cached")).expect("shipped");
+        let again = decoded(cache.insert(p)).expect("shipped");
+        assert!(Arc::ptr_eq(&first, &hit) && Arc::ptr_eq(&first, &again));
+        assert!(decoded(cache.insert(parts("b.B", 1))).is_none());
+        let mut bad = parts("c.C", 1);
+        bad.descriptor = Some(vec![0xff]);
+        assert!(cache.insert(bad).descriptor().is_err());
     }
 
     #[test]

@@ -31,7 +31,7 @@ use alfredo_rosgi::{
 use alfredo_ui::render::select_renderer;
 use alfredo_ui::{DeviceCapabilities, UiError, UiState};
 
-use crate::cache::{TierCache, DEFAULT_TIER_CACHE_BYTES};
+use crate::cache::{CachedTier, TierCache, DEFAULT_TIER_CACHE_BYTES};
 use crate::descriptor::{DescriptorError, ServiceDescriptor};
 use crate::policy::{ClientContext, DistributionPolicy, ThinClientPolicy};
 use crate::room::{LeaseTick, RoomHub};
@@ -716,18 +716,17 @@ impl AlfredOConnection {
         // 1. Presentation tier: interface + descriptor. The lease phase
         // span is entered so the endpoint's `fetch:*` span (and the
         // device-side serve span, via the wire context) nest under it.
-        let fetched = {
+        let (fetched, tier) = {
             let mut span = obs.child_of(root_ctx, "lease");
             let _in_phase = span.enter();
             span.set_with("interface", || interface.to_owned());
             self.fetch_via_cache(interface, &mut span)?
         };
-        let descriptor_bytes = fetched
-            .descriptor
-            .as_deref()
+        // Decoded and validated once per tier digest; a warm acquire
+        // shares the cache entry's descriptor.
+        let descriptor = tier
+            .descriptor()?
             .ok_or_else(|| EngineError::MissingDescriptor(interface.to_owned()))?;
-        let descriptor = ServiceDescriptor::decode(descriptor_bytes)?;
-        descriptor.validate()?;
 
         // 2. Security: the main fetch may only carry code if trusted.
         self.config.security.admit_artifact(
@@ -745,7 +744,7 @@ impl AlfredOConnection {
             let mut moved = 0u32;
             for (dep, placement) in assignment.logic() {
                 if *placement == Placement::Client {
-                    let dep_fetch = self.fetch_via_cache(dep, &mut span)?;
+                    let (dep_fetch, _) = self.fetch_via_cache(dep, &mut span)?;
                     self.config.security.admit_artifact(
                         dep_fetch.smart,
                         self.config.context.trust,
@@ -798,48 +797,17 @@ impl AlfredOConnection {
         ))
     }
 
-    /// Fetches the tier artifacts for `interface`, going to the wire only
-    /// on a cache miss. The lease's advertised [`PROP_TIER_DIGEST`] is
-    /// the cache key: a hit installs the cached parts with zero transfer
-    /// (`tier_transfer` collapses to this digest comparison); a miss — or
-    /// a device that advertises no digest — pays the full fetch and
-    /// populates the cache for the next interaction.
+    /// [`TierCache::fetch`] on this connection, noting on the phase span
+    /// whether the tier cache served it (on a hit `tier_transfer`
+    /// collapses to a digest comparison).
     fn fetch_via_cache(
         &self,
         interface: &str,
         span: &mut Span,
-    ) -> Result<FetchedService, EngineError> {
-        match self.advertised_digest(interface) {
-            Some(digest) => {
-                if let Some(parts) = self.tier_cache.get(digest) {
-                    span.set("tier_cache", "hit");
-                    return Ok(self.endpoint.install_cached_service(&parts)?);
-                }
-                span.set("tier_cache", "miss");
-            }
-            None => {
-                self.tier_cache.note_miss();
-                span.set("tier_cache", "no-digest");
-            }
-        }
-        let (fetched, parts) = self.endpoint.fetch_service_with_parts(interface)?;
-        self.tier_cache.insert(parts);
-        Ok(fetched)
-    }
-
-    /// The content digest the device's live lease advertises for
-    /// `interface`, if any.
-    fn advertised_digest(&self, interface: &str) -> Option<u64> {
-        self.endpoint
-            .remote_services()
-            .iter()
-            .find(|s| s.offers(interface))
-            .and_then(|s| {
-                s.properties
-                    .get(PROP_TIER_DIGEST)
-                    .and_then(Value::as_str)
-                    .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-            })
+    ) -> Result<(FetchedService, Arc<CachedTier>), EngineError> {
+        let (fetched, tier, lookup) = self.tier_cache.fetch(&self.endpoint, interface)?;
+        span.set("tier_cache", lookup.as_str());
+        Ok((fetched, tier))
     }
 
     /// Closes the connection; all proxies are uninstalled.

@@ -22,14 +22,11 @@ use alfredo_sync::Mutex;
 
 use alfredo_osgi::events::SubscriptionId;
 use alfredo_osgi::{Event, Framework, Json, Properties, ServiceCallError, ToJson as _, Value};
-use alfredo_rosgi::{
-    FetchedService, HealthEvent, HealthState, RemoteEndpoint, RosgiError, ERR_CIRCUIT_OPEN,
-    PROP_TIER_DIGEST,
-};
+use alfredo_rosgi::{HealthEvent, HealthState, RemoteEndpoint, RosgiError, ERR_CIRCUIT_OPEN};
 use alfredo_ui::render::{select_renderer, RenderedUi};
 use alfredo_ui::{DeviceCapabilities, UiEvent, UiState};
 
-use crate::cache::TierCache;
+use crate::cache::{Lookup, TierCache};
 use crate::controller::{Action, ArgSource, Binding, MethodCall, Rule, Trigger, UiTriggerKind};
 use crate::descriptor::ServiceDescriptor;
 use crate::engine::{EngineError, OutagePolicy};
@@ -111,7 +108,8 @@ pub enum ActionOutcome {
 pub struct AlfredOSession {
     framework: Framework,
     endpoint: Arc<RemoteEndpoint>,
-    descriptor: ServiceDescriptor,
+    /// Shared with the tier-cache entry it was decoded from, if cached.
+    descriptor: Arc<ServiceDescriptor>,
     assignment: Mutex<TierAssignment>,
     rendered: RenderedUi,
     capabilities: DeviceCapabilities,
@@ -192,7 +190,7 @@ impl AlfredOSession {
     pub(crate) fn new(
         framework: Framework,
         endpoint: Arc<RemoteEndpoint>,
-        descriptor: ServiceDescriptor,
+        descriptor: Arc<ServiceDescriptor>,
         assignment: TierAssignment,
         rendered: RenderedUi,
         capabilities: DeviceCapabilities,
@@ -784,8 +782,8 @@ impl AlfredOSession {
         let mut cache_hit = false;
         match to {
             Placement::Client => {
-                let (fetched, hit) = self.fetch_for_migration(interface)?;
-                cache_hit = hit;
+                let (fetched, _, lookup) = self.tier_cache.fetch(&self.endpoint, interface)?;
+                cache_hit = lookup == Lookup::Hit;
                 if !fetched.smart {
                     // The peer shipped no code or the endpoint refuses
                     // smart proxies (untrusted): a plain proxy would
@@ -855,36 +853,6 @@ impl AlfredOSession {
             cache_hit,
             replayed,
         })
-    }
-
-    /// The tier-cache-aware artifact fetch for a phone-bound migration:
-    /// returns the installed service and whether the cache served it.
-    fn fetch_for_migration(&self, interface: &str) -> Result<(FetchedService, bool), EngineError> {
-        if let Some(digest) = self.advertised_digest(interface) {
-            if let Some(parts) = self.tier_cache.get(digest) {
-                return Ok((self.endpoint.install_cached_service(&parts)?, true));
-            }
-        } else {
-            self.tier_cache.note_miss();
-        }
-        let (fetched, parts) = self.endpoint.fetch_service_with_parts(interface)?;
-        self.tier_cache.insert(parts);
-        Ok((fetched, false))
-    }
-
-    /// The content digest the device's live lease advertises for
-    /// `interface`, if any.
-    fn advertised_digest(&self, interface: &str) -> Option<u64> {
-        self.endpoint
-            .remote_services()
-            .iter()
-            .find(|s| s.offers(interface))
-            .and_then(|s| {
-                s.properties
-                    .get(PROP_TIER_DIGEST)
-                    .and_then(Value::as_str)
-                    .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-            })
     }
 
     /// Ends the interaction: releases every leased service (proxy bundles

@@ -44,6 +44,14 @@ fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(msg.into()))
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts; deeper
+/// input is an error, not a stack overflow (the parser recurses once per
+/// level, and descriptor meta blocks and HTTP bodies are peer-controlled).
+/// A [`Value`] map or struct becomes two JSON levels, so this leaves room
+/// for the deepest value the R-OSGi codec admits (65 containers) plus the
+/// few levels a journal record wraps around it.
+pub const MAX_DEPTH: usize = 160;
+
 /// A JSON document tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -155,8 +163,10 @@ impl Json {
     /// Returns [`JsonError`] on malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.parse_value()?;
@@ -267,8 +277,13 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    /// The input, for copying string runs out as `&str`; `bytes` is the
+    /// same input as bytes, for scanning.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -330,8 +345,22 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.parse_string().map(Json::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let container = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                container
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             Some(c) => err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
         }
@@ -394,13 +423,23 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of ordinary bytes up to the next `"` or `\` in
+            // one slice. Both delimiters are ASCII, so the cut lands on a
+            // char boundary of the input `&str` and needs no re-validation.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return err("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // A run stops only at `"`, `\` or the end: a backslash.
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -438,16 +477,6 @@ impl<'a> Parser<'a> {
                         _ => return err("invalid escape"),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar. The input is a &str, so
-                    // byte sequences are valid; find the char boundary.
-                    let rest = &self.bytes[self.pos..];
-                    let s =
-                        std::str::from_utf8(rest).map_err(|_| JsonError("invalid utf-8".into()))?;
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -873,6 +902,75 @@ mod tests {
             "nul",
         ] {
             assert!(Json::parse(text).is_err(), "{text:?} should fail");
+        }
+    }
+
+    #[test]
+    fn long_string_parses_in_linear_time() {
+        let text = format!("{{\"s\":\"{}\"}}", "a".repeat(1 << 20));
+        let started = std::time::Instant::now();
+        let j = Json::parse(&text).unwrap();
+        let took = started.elapsed();
+        assert_eq!(
+            j.get("s").and_then(Json::as_str).map(str::len),
+            Some(1 << 20)
+        );
+        assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+    }
+
+    #[test]
+    fn bulk_copied_runs_meet_escapes_exactly() {
+        // `\u` escapes are spelled out at run time so no tool along the
+        // way can fold them into the characters they stand for.
+        let u = |hex: &str| format!("{}u{hex}", '\\');
+        let pair = format!("{}{}", u("d83d"), u("de00"));
+        for (body, expected) in [
+            // Multi-byte UTF-8 right before and right after an escape.
+            (r"é\n".to_owned(), "é\n"),
+            (r"\né".to_owned(), "\né"),
+            (format!("😀{}😀", u("0041")), "😀A😀"),
+            (format!("ü{pair}ü"), "ü😀ü"),
+            (r#"ü\"ü"#.to_owned(), "ü\"ü"),
+            // Multi-byte UTF-8 at the start and at the end of a string.
+            ("éab".to_owned(), "éab"),
+            ("abé".to_owned(), "abé"),
+            ("日本".to_owned(), "日本"),
+            // Only escapes.
+            (
+                format!(r#"\"\\\/\b\f\n\r\t{}{pair}"#, u("0041")),
+                "\"\\/\u{8}\u{c}\n\r\tA😀",
+            ),
+            // Raw control bytes are accepted and kept as they are.
+            ("a\u{1}\tb\nc\u{1f}".to_owned(), "a\u{1}\tb\nc\u{1f}"),
+            (String::new(), ""),
+        ] {
+            let text = format!("\"{body}\"");
+            assert_eq!(Json::parse(&text), Ok(Json::str(expected)), "{text:?}");
+        }
+        for body in [r"\x".to_owned(), r"ab\".to_owned(), u("d83d"), u("12")] {
+            let text = format!("\"{body}\"");
+            assert!(Json::parse(&text).is_err(), "{text:?} should fail");
+        }
+        assert!(Json::parse("\"é").is_err(), "unterminated after a run");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        // Far past the limit, on a thread with the default stack: an
+        // error, not a stack overflow.
+        let bombs = std::thread::spawn(|| {
+            [
+                Json::parse(&"[".repeat(100_000)),
+                Json::parse(&"{\"a\":".repeat(100_000)),
+            ]
+        })
+        .join()
+        .expect("parser thread survived");
+        for bomb in bombs {
+            assert!(bomb.unwrap_err().0.contains("nesting deeper"));
         }
     }
 

@@ -263,6 +263,30 @@ mod tests {
     }
 
     #[test]
+    fn deepest_value_round_trips_through_json() {
+        use alfredo_osgi::json::{self, FromJson, ToJson};
+        // Maps and structs each become two JSON levels; journal records
+        // wrap a value in a handful more.
+        const { assert!(json::MAX_DEPTH >= 2 * (MAX_DEPTH as usize + 1) + 8) };
+        let nest = |levels: u32| {
+            (0..levels).fold(Value::Map(BTreeMap::new()), |inner, i| {
+                if i % 2 == 0 {
+                    Value::map([("m", inner)])
+                } else {
+                    Value::structure("t.S", [("s", inner)])
+                }
+            })
+        };
+        // `levels` wrappers around the empty map: the deepest the codec
+        // admits has its innermost container at depth MAX_DEPTH.
+        let deepest = nest(MAX_DEPTH);
+        assert_eq!(round_trip(&deepest), deepest);
+        assert!(value_from_bytes(&value_to_bytes(&nest(MAX_DEPTH + 1))).is_err());
+        let text = deepest.to_json_string();
+        assert_eq!(Value::from_json_str(&text), Ok(deepest));
+    }
+
+    #[test]
     fn properties_round_trip() {
         let props = Properties::new()
             .with("a", 1i64)

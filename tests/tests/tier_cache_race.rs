@@ -237,3 +237,59 @@ fn digest_change_never_serves_stale_tier() {
     // And the cached old generation still hits if the device rolls back.
     device.stop();
 }
+
+/// Decode once per tier digest: a warm acquire shares the descriptor the
+/// cache entry decoded for the first one (the same `Arc` allocation), a
+/// re-host with a changed descriptor serves the new one, and rolling
+/// back hits the old entry and its already-decoded descriptor again.
+#[test]
+fn warm_acquire_shares_the_decoded_descriptor() {
+    let net = InMemoryNetwork::new();
+    let fw = Framework::new();
+    let reg = host_marked(&fw, "once.S", "first").unwrap();
+    let device = Device::new(fw.clone())
+        .serve(&net, PeerAddr::new("tc-dev3"))
+        .unwrap();
+    let engine = phone(&net, "decoder", 1 << 20);
+    let addr = PeerAddr::new("tc-dev3");
+    let marker = |session: &alfredo_core::AlfredOSession, text: &str| {
+        session.descriptor().ui.find("marker") == Some(&Control::label("marker", text))
+    };
+
+    let cold_conn = engine.connect(&addr).unwrap();
+    let cold = cold_conn.acquire("once.S").unwrap();
+    let warm_conn = engine.connect(&addr).unwrap();
+    let warm = warm_conn.acquire("once.S").unwrap();
+    assert_eq!(warm.transferred_bytes(), 0, "second acquire is warm");
+    assert!(
+        std::ptr::eq(cold.descriptor(), warm.descriptor()),
+        "a warm acquire must share the first acquire's decoded descriptor"
+    );
+
+    reg.unregister().unwrap();
+    let reg = host_marked(&fw, "once.S", "second").unwrap();
+    let new_conn = engine.connect(&addr).unwrap();
+    let rehosted = new_conn.acquire("once.S").unwrap();
+    assert!(rehosted.transferred_bytes() > 0, "a new digest misses");
+    assert!(marker(&rehosted, "second"));
+    assert!(!std::ptr::eq(cold.descriptor(), rehosted.descriptor()));
+
+    reg.unregister().unwrap();
+    let _reg = host_marked(&fw, "once.S", "first").unwrap();
+    let back_conn = engine.connect(&addr).unwrap();
+    let back = back_conn.acquire("once.S").unwrap();
+    assert_eq!(back.transferred_bytes(), 0, "the old digest hits again");
+    assert!(marker(&back, "first"));
+    assert!(std::ptr::eq(cold.descriptor(), back.descriptor()));
+
+    for (session, conn) in [
+        (cold, cold_conn),
+        (warm, warm_conn),
+        (rehosted, new_conn),
+        (back, back_conn),
+    ] {
+        session.close();
+        conn.close();
+    }
+    device.stop();
+}
