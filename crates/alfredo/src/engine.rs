@@ -1061,8 +1061,8 @@ type Kill = Box<dyn FnOnce() + Send>;
 /// What a listener hands the accept loop: a phone's wire, and its killer.
 type Accepted = (Box<dyn Transport>, Kill);
 
-/// All that differs between listeners; the accept loop, the handshake
-/// gate, the reaper and the roster are written once on top of it.
+/// All that differs between listeners; the accept loop, the reaper and
+/// the roster are written once on top of it.
 struct Door {
     /// Blocks until a phone connects.
     accept: Box<dyn Fn() -> std::io::Result<Accepted> + Send>,
@@ -1091,7 +1091,7 @@ impl Door {
             accept: Box::new(move || {
                 let stream = listener.accept_stream()?;
                 // A raw clone of the socket stays behind for the reaper:
-                // shutting it down fails the handshake thread's read.
+                // shutting it down ends the connection mid-handshake.
                 let raw = stream.try_clone()?;
                 let wire = alfredo_net::TcpTransport::from_stream(stream)?;
                 let kill = Box::new(move || drop(raw.shutdown(std::net::Shutdown::Both)));
@@ -1102,8 +1102,7 @@ impl Door {
     }
 }
 
-/// What a served device's handle, accept thread and handshake threads
-/// share.
+/// What a served device's handle, accept thread and handshakes share.
 struct Shared {
     stopped: AtomicBool,
     /// The roster: every endpoint that completed its handshake and has
@@ -1111,17 +1110,10 @@ struct Shared {
     endpoints: alfredo_sync::Mutex<Vec<Arc<RemoteEndpoint>>>,
 }
 
-/// Most handshake threads a device runs at once. Handshakes finish in a
-/// round-trip, so a small pool absorbs any realistic arrival burst; when
-/// every permit is taken the accept loop parks and newly arriving
-/// connections wait in the listener's accept queue instead of each
-/// costing a thread.
-const HANDSHAKE_THREAD_CAP: usize = 8;
-
 /// How long an accepted connection may sit without completing its
 /// handshake before the device reaps it (closes the wire). Bounds the
 /// damage of slowloris-style clients that connect and then stall: each
-/// holds a handshake permit for at most this long.
+/// holds a socket and an endpoint for at most this long, never a thread.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How long the accept loop waits before it retries after an accept
@@ -1149,68 +1141,21 @@ fn accept_retry_pause(err: &std::io::Error) -> Duration {
     }
 }
 
-/// A counting semaphore bounding concurrent handshake threads. Plain
-/// mutex + condvar: handshakes are rare and millisecond-scale, so permit
-/// churn is nowhere near a contention concern.
-struct HandshakeGate {
-    in_flight: alfredo_sync::Mutex<usize>,
-    cv: alfredo_sync::Condvar,
-    cap: usize,
-}
-
-impl HandshakeGate {
-    fn new(cap: usize) -> Arc<HandshakeGate> {
-        Arc::new(HandshakeGate {
-            in_flight: alfredo_sync::Mutex::new(0),
-            cv: alfredo_sync::Condvar::new(),
-            cap: cap.max(1),
-        })
-    }
-
-    /// Blocks until a permit is free; `None` if `abort` was set while
-    /// waiting (device shutdown) so the accept loop can exit even when
-    /// every permit is pinned by a stalled handshake.
-    fn acquire(self: &Arc<Self>, abort: &AtomicBool) -> Option<HandshakePermit> {
-        let mut held = self.in_flight.lock();
-        while *held >= self.cap {
-            if abort.load(Ordering::SeqCst) {
-                return None;
-            }
-            let (guard, _) = self.cv.wait_timeout(held, Duration::from_millis(50));
-            held = guard;
-        }
-        *held += 1;
-        Some(HandshakePermit(Arc::clone(self)))
-    }
-}
-
-/// One handshake's place in the pool, given back on drop — also when the
-/// handshake thread could not be spawned and the closure owning the
-/// permit is dropped unrun.
-struct HandshakePermit(Arc<HandshakeGate>);
-
-impl Drop for HandshakePermit {
-    fn drop(&mut self) {
-        *self.0.in_flight.lock() -= 1;
-        self.0.cv.notify_one();
-    }
-}
-
 /// The accept loop, the same for every listener and every combination of
-/// options. Handshakes run on a short-lived thread per accepted
-/// connection, so concurrently arriving phones do not serialize behind
-/// each other's round-trips and a stalled client never delays the loop;
-/// the gate bounds those threads and the reaper (a timer on the shared
-/// wheel, counted as `net.handshake_reaped`) bounds how long each may
-/// take. Once its handshake thread exits, a connection costs the device
-/// no thread at all.
+/// options. It never waits on a phone: each accepted wire starts its
+/// handshake ([`RemoteEndpoint::start`]) and the loop goes back to
+/// `accept`. The handshake finishes on the wire's delivery thread, which
+/// rosters the endpoint before it dispatches any later frame of the
+/// connection. What bounds a client that stalls is the reaper, a timer on
+/// the shared wheel (counted as `net.handshake_reaped`) that closes a
+/// wire whose handshake has not finished in time; until then the client
+/// holds a socket and an endpoint, and no thread.
 fn accept_loop(
     accept: &dyn Fn() -> std::io::Result<Accepted>,
     shared: &Arc<Shared>,
     device: Device,
     handshake_timeout: Duration,
 ) {
-    let gate = HandshakeGate::new(HANDSHAKE_THREAD_CAP);
     let wheel = alfredo_net::Reactor::global().timer();
     let reaped = alfredo_obs::global_metrics().counter("net.handshake_reaped");
     while !shared.stopped.load(Ordering::SeqCst) {
@@ -1224,25 +1169,20 @@ fn accept_loop(
         if shared.stopped.load(Ordering::SeqCst) {
             break; // the wake-up connection
         }
-        let Some(permit) = gate.acquire(&shared.stopped) else {
-            break;
-        };
         let reaped = reaped.clone();
         // If the handshake has not finished when the timer fires, killing
-        // the wire unblocks its thread with an error.
+        // the wire ends it, and the connection drops its endpoint.
         let reap = Box::new(move || {
             kill();
             reaped.inc();
         });
         let reap_key = wheel.schedule(handshake_timeout, reap);
-        let (framework, config) = (device.framework.clone(), device.config.clone());
         let (shared, hub) = (Arc::clone(shared), device.hub.clone());
-        let handshake = move || {
-            let established = RemoteEndpoint::establish(wire, framework, config);
+        let on_ready = move |established: Result<RemoteEndpoint, RosgiError>| {
             // Exactly one side gets the connection: a timer that can still
-            // be cancelled never fires, one that cannot has fired.
+            // be cancelled never fires, one that cannot has fired. A
+            // handshake that failed cancels it too: it was not reaped.
             let lost_to_reaper = !wheel.cancel(reap_key);
-            drop(permit);
             let Ok(endpoint) = established else { return };
             let endpoint = Arc::new(endpoint);
             let mut roster = shared.endpoints.lock();
@@ -1262,13 +1202,8 @@ fn accept_loop(
             roster.retain(|ep| !ep.is_closed());
             roster.push(endpoint);
         };
-        // A failed spawn (thread exhaustion) must not take the device
-        // down: it drops the closure unrun, which closes the wire and
-        // gives the permit back; disarm the reaper and go on accepting.
-        let thread = std::thread::Builder::new().name("alfredo-handshake".into());
-        if thread.spawn(handshake).is_err() {
-            wheel.cancel(reap_key);
-        }
+        let (framework, config) = (device.framework.clone(), device.config.clone());
+        RemoteEndpoint::start(wire, framework, config, on_ready);
     }
 }
 
@@ -1426,47 +1361,126 @@ mod tests {
         assert_eq!(accept_retry_pause(&err), ACCEPT_RETRY_PAUSE);
     }
 
-    /// More stalled clients than the gate has permits connect and send
-    /// nothing; a phone connects behind them. The reaper gives every
-    /// permit back, counting each, and the phone is served.
+    fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "timed out: {what}; now {:?}",
+                device_threads()
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// The threads a device could spend on its connections, by the names
+    /// the stack gives its threads (`/proc` keeps 15 bytes of each):
+    /// `alfredo-*` and `rosgi-*`, except those that start once per
+    /// process (the reactor's pollers and wheel) or that other tests of
+    /// this binary start meanwhile (the HTTP gateway, serve-queue
+    /// workers); and the in-memory pumps of the device's own address.
+    /// Counting every thread would count theirs too.
+    fn device_threads() -> Vec<String> {
+        let shared = [
+            "alfredo-io-",
+            "alfredo-timer",
+            "alfredo-http",
+            "rosgi-serve-",
+        ];
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return Vec::new();
+        };
+        let mut names: Vec<String> = tasks
+            // A thread may exit between the listing and the read.
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim_end().to_owned())
+            .filter(|name| {
+                (name.starts_with("alfredo-") || name.starts_with("rosgi-"))
+                    && !shared.iter().any(|p| name.starts_with(p))
+                    || name == "net-pump-reaper"
+            })
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Eleven clients connect and send nothing, and a phone connects
+    /// behind them. The phone is served before the first reap fires;
+    /// while they stall the device's threads do not grow (in memory, each
+    /// wire still has the pump every in-memory connection half has); then
+    /// the reaper closes every one of them, counting each.
     fn reaps_the_stalled_and_serves_the_phone_behind_them<S>(
         door: Door,
         stall: impl Fn() -> S,
         dial: impl FnOnce() -> Box<dyn Transport>,
+        in_memory: bool,
     ) {
-        const STALLED: u64 = HANDSHAKE_THREAD_CAP as u64 + 3;
+        const STALLED: usize = 11;
         let device = Device::new(Framework::new())
-            .serve_on(door, (), "reaper-dev".into(), Duration::from_millis(250))
+            .serve_on(door, (), "reaper-dev".into(), Duration::from_secs(1))
             .unwrap();
         let reaped = alfredo_obs::global_metrics().counter("net.handshake_reaped");
         let before = reaped.get();
+        let linux = cfg!(target_os = "linux");
+        // Up: the accept thread runs, the pumps of a device before it have
+        // gone, and so has the accept thread's name from the threads it
+        // started (the reactor's, on first use): a new thread carries its
+        // parent's name until it has set its own.
+        let idle: Vec<String> = if linux {
+            vec!["alfredo-device-".into()]
+        } else {
+            Vec::new()
+        };
+        wait_until("the accept thread alone", || device_threads() == idle);
+
         let stalled: Vec<S> = (0..STALLED).map(|_| stall()).collect();
         let config = EndpointConfig::named("phone");
         let phone = RemoteEndpoint::establish(dial(), Framework::new(), config)
-            .expect("the phone gets a permit once the reaper frees one");
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while reaped.get() < before + STALLED || device.connections() != 1 {
-            assert!(std::time::Instant::now() < deadline, "{}", reaped.get());
-            std::thread::yield_now();
+            .expect("the phone is served while the others stall");
+        // Wires are accepted in order, so by the time the phone is
+        // rostered every stalled wire is in its handshake.
+        wait_until("the phone rostered", || device.connections() == 1);
+        assert_eq!(reaped.get(), before, "served before the first reap");
+        let mut stalling = idle;
+        if in_memory && linux {
+            stalling.extend((0..=STALLED).map(|_| "net-pump-reaper".to_owned()));
+            stalling.sort();
         }
+        // A thread names itself as it starts, so a pump may take a moment
+        // to show up under its name; the count must settle while the
+        // clients still stall, not once the reaper has let them go.
+        wait_until(&format!("no thread but the pumps: {stalling:?}"), || {
+            device_threads() == stalling
+        });
+        assert_eq!(reaped.get(), before, "counted while they stall");
+
+        wait_until("every stalled wire reaped", || {
+            reaped.get() >= before + STALLED as u64
+        });
         let alive = phone.ping(Duration::from_secs(5));
         assert!(alive.is_ok(), "the phone's wire was reaped: {alive:?}");
-        assert_eq!(reaped.get(), before + STALLED);
+        assert_eq!(reaped.get(), before + STALLED as u64);
+        assert_eq!(device.connections(), 1);
         phone.close();
         drop(stalled);
         device.stop();
     }
 
-    /// One test for both listeners: `net.handshake_reaped` is
-    /// process-wide, so the two runs must not overlap.
+    /// Held by whichever test reads `net.handshake_reaped`, which is
+    /// process-wide.
+    static REAPER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// One test for both listeners, whose runs must not overlap either.
     #[test]
     fn both_listeners_reap_stalled_handshakes_and_keep_serving() {
+        let _turn = REAPER.lock().unwrap_or_else(|e| e.into_inner());
         let net = InMemoryNetwork::new();
         let addr = PeerAddr::new("reaper-dev");
         reaps_the_stalled_and_serves_the_phone_behind_them(
             Door::in_memory(&net, &addr).unwrap(),
             || net.connect(PeerAddr::new("stalled"), addr.clone()).unwrap(),
             || Box::new(net.connect(PeerAddr::new("phone"), addr.clone()).unwrap()),
+            true,
         );
         let listener = alfredo_net::TcpNetListener::bind("127.0.0.1:0").unwrap();
         let sock = listener.local_addr();
@@ -1474,6 +1488,103 @@ mod tests {
             Door::tcp(listener),
             || std::net::TcpStream::connect(sock).unwrap(),
             || Box::new(alfredo_net::TcpTransport::connect(sock).unwrap()),
+            false,
+        );
+    }
+
+    /// Wires that open with anything but their half of the handshake — an
+    /// `Invoke`, a `FetchService`, a `Hello` of another protocol version —
+    /// are refused: the device closes each, serves nothing, rosters none,
+    /// and cancels their reap timers. A silent wire accepted after them
+    /// is the control: once it is reaped, any timer of theirs would have
+    /// fired too.
+    fn refuses_openers_and_does_not_reap_them<S>(
+        door: Door,
+        dial: impl Fn() -> Box<dyn Transport>,
+        stall: impl FnOnce() -> S,
+    ) {
+        let fw = Framework::new();
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counting = {
+            let calls = Arc::clone(&calls);
+            alfredo_osgi::FnService::new(move |_, _| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                Ok(alfredo_osgi::Value::Unit)
+            })
+        };
+        let properties = alfredo_osgi::Properties::new();
+        let _registration = fw
+            .system_context()
+            .register_service(&["t.Echo"], Arc::new(counting), properties)
+            .unwrap();
+        let device = Device::new(fw)
+            .serve_on(door, (), "hostile-dev".into(), Duration::from_millis(200))
+            .unwrap();
+        let reaped = alfredo_obs::global_metrics().counter("net.handshake_reaped");
+        let before = reaped.get();
+        let openers = [
+            alfredo_rosgi::Message::Invoke {
+                call_id: 1,
+                interface: "t.Echo".into(),
+                method: "echo".into(),
+                args: vec![],
+            },
+            alfredo_rosgi::Message::FetchService {
+                interface: "t.Echo".into(),
+            },
+            alfredo_rosgi::Message::Hello {
+                peer: "future".into(),
+                version: 99,
+            },
+        ];
+        for opener in &openers {
+            let wire = dial();
+            wire.send(opener.encode()).unwrap();
+            // All the wire carries back is the device's own half.
+            loop {
+                match wire.recv_timeout(Duration::from_secs(5)) {
+                    Ok(frame) => {
+                        let reply = alfredo_rosgi::Message::decode(&frame);
+                        assert!(
+                            matches!(
+                                reply,
+                                Ok(alfredo_rosgi::Message::Hello { .. }
+                                    | alfredo_rosgi::Message::Lease { .. }
+                                    | alfredo_rosgi::Message::EventInterest { .. })
+                            ),
+                            "{opener:?}: {reply:?}"
+                        );
+                    }
+                    Err(TransportError::Closed) => break,
+                    Err(e) => panic!("{opener:?}: the device kept the wire open: {e}"),
+                }
+            }
+        }
+        let silent = stall();
+        wait_until("the silent wire reaped", || reaped.get() > before);
+        assert_eq!(reaped.get(), before + 1, "a refused wire was reaped");
+        assert_eq!(device.connections(), 0);
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        drop(silent);
+        device.stop();
+    }
+
+    #[test]
+    fn both_listeners_refuse_frames_before_the_handshake() {
+        let _turn = REAPER.lock().unwrap_or_else(|e| e.into_inner());
+        let net = InMemoryNetwork::new();
+        let addr = PeerAddr::new("hostile-dev");
+        refuses_openers_and_does_not_reap_them(
+            Door::in_memory(&net, &addr).unwrap(),
+            || Box::new(net.connect(PeerAddr::new("hostile"), addr.clone()).unwrap()),
+            || net.connect(PeerAddr::new("silent"), addr.clone()).unwrap(),
+        );
+        let listener = alfredo_net::TcpNetListener::bind("127.0.0.1:0").unwrap();
+        let sock = listener.local_addr();
+        refuses_openers_and_does_not_reap_them(
+            Door::tcp(listener),
+            || Box::new(alfredo_net::TcpTransport::connect(sock).unwrap()),
+            || std::net::TcpStream::connect(sock).unwrap(),
         );
     }
 

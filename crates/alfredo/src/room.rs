@@ -1415,12 +1415,12 @@ impl Service for RoomHubService {
         match method {
             "join" => {
                 let (room_name, member) = (str_arg(0)?, str_arg(1)?);
-                // A missing sink is almost always the accept-loop roster
-                // race: the phone's first RPC can arrive before the
-                // handshake thread rosters its endpoint. `Busy` makes the
-                // client's retry budget absorb that window transparently
-                // (a member id that never matches the caller's peer name
-                // keeps bouncing until the budget gives up).
+                // A served device rosters a phone's endpoint as its
+                // handshake completes, before it dispatches any later
+                // frame of the connection, so a phone's own `join` always
+                // finds its sink. A missing one means the member id is not
+                // a rostered peer name: `Busy`, never executed, bounces
+                // the caller until its retry budget gives up.
                 let sink = self
                     .hub
                     .endpoint_sink(member)
@@ -1834,7 +1834,7 @@ mod tests {
         let hub = RoomHub::new(RoomConfig::new("default"));
         let svc = RoomHubService::new(Arc::clone(&hub));
         // join requires a rostered endpoint — absent here, so the caller
-        // is told to retry (the roster race resolves in milliseconds).
+        // is told to retry.
         assert!(matches!(
             svc.invoke("join", &[Value::from("r"), Value::from("ghost")]),
             Err(ServiceCallError::Busy { .. })

@@ -17,10 +17,12 @@
 //!   construction.
 //! * **Slot reuse** — the rendezvous itself is a [`CallSlot`]
 //!   (mutex + condvar one-shot cell), and each shard keeps a free list
-//!   of spent slots. A slot is recycled only when the waiter can prove
-//!   it holds the last reference (`Arc::strong_count == 1` after the
-//!   slot has left the map), so a completer still holding its clone can
-//!   never observe a reset slot.
+//!   of spent slots. A slot whose outcome arrived is recycled at once —
+//!   its one completer has filled it and can only wake it once more. A
+//!   slot that timed out is recycled only when the waiter can prove it
+//!   holds the last reference (`Arc::strong_count == 1` after the slot
+//!   has left the map), so a completer that may still fill it can never
+//!   fill a reset slot.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -174,10 +176,14 @@ impl<T> CallTable<T> {
 
     /// Returns a spent slot to its shard's free list. Call only after
     /// the id has been removed from the map (via a delivered outcome or
-    /// [`Self::cancel`]); the slot is retained only if the caller holds
-    /// the last reference, so an in-flight completer blocks recycling.
-    pub(crate) fn recycle(&self, call_id: u64, slot: Arc<CallSlot<T>>) {
-        if Arc::strong_count(&slot) != 1 {
+    /// [`Self::cancel`]). A slot whose outcome was `delivered` is kept
+    /// even while its completer still holds a clone: that completer has
+    /// filled it already and only wakes the cell and lets go, which a
+    /// later call on the slot takes as a spurious wake-up. An undelivered
+    /// slot is kept only if the caller holds the last reference, so a
+    /// completer that may still fill it blocks recycling.
+    pub(crate) fn recycle(&self, call_id: u64, slot: Arc<CallSlot<T>>, delivered: bool) {
+        if !delivered && Arc::strong_count(&slot) != 1 {
             return;
         }
         let mut free = self.shard(call_id).free.lock();
@@ -233,7 +239,7 @@ mod tests {
         let slot = table.register(7);
         assert!(table.complete(7, 42u32));
         assert_eq!(slot.wait(Duration::from_millis(100)), Some(42));
-        table.recycle(7, slot);
+        table.recycle(7, slot, true);
         assert_eq!(table.outstanding(), 0);
     }
 
@@ -249,7 +255,7 @@ mod tests {
         let slot = table.register(3);
         assert_eq!(slot.wait(Duration::from_millis(10)), None);
         table.cancel(3);
-        table.recycle(3, slot);
+        table.recycle(3, slot, false);
         assert_eq!(table.outstanding(), 0);
         // A late response for the cancelled id is dropped.
         assert!(!table.complete(3, 1));
@@ -264,7 +270,7 @@ mod tests {
             let slot = table.register(id);
             assert!(table.complete(id, i));
             assert_eq!(slot.wait(Duration::from_millis(100)), Some(i));
-            table.recycle(id, slot);
+            table.recycle(id, slot, true);
         }
         assert_eq!(table.slots_reused(), 9, "first call allocates, rest reuse");
     }
@@ -275,11 +281,36 @@ mod tests {
         let slot = table.register(1);
         let clone = Arc::clone(&slot); // a completer still holds it
         table.cancel(1);
-        table.recycle(1, slot);
+        table.recycle(1, slot, false);
         let slot2 = table.register(1 + SHARDS as u64);
         assert_eq!(table.slots_reused(), 0, "shared slot must not recycle");
         drop(clone);
         drop(slot2);
+    }
+
+    /// The completer still holds its clone when the waiter has the
+    /// outcome (it has yet to wake the cell and let go): the slot is
+    /// reused all the same, and the late wake-up does not disturb the
+    /// next call on it.
+    #[test]
+    fn delivered_slot_recycles_while_the_completer_lets_go() {
+        let table: CallTable<u32> = CallTable::new();
+        let slot = table.register(1);
+        let completer = Arc::clone(&slot);
+        assert!(table.complete(1, 5));
+        assert_eq!(slot.wait(Duration::from_millis(100)), Some(5));
+        table.recycle(1, slot, true);
+        let next = table.register(1 + SHARDS as u64);
+        assert_eq!(table.slots_reused(), 1);
+        completer.cv.notify_all();
+        drop(completer);
+        assert_eq!(
+            next.wait(Duration::from_millis(20)),
+            None,
+            "no stale outcome"
+        );
+        assert!(table.complete(1 + SHARDS as u64, 6));
+        assert_eq!(next.wait(Duration::from_millis(100)), Some(6));
     }
 
     #[test]
@@ -319,7 +350,7 @@ mod tests {
                     };
                     assert_eq!(slot.wait(Duration::from_secs(5)), Some(id * 2));
                     completer.join().unwrap();
-                    table.recycle(id, slot);
+                    table.recycle(id, slot, true);
                 }
             }));
         }

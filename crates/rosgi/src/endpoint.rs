@@ -8,9 +8,12 @@
 //! Frames are pushed into the endpoint's [`FrameSink`] by the transport's
 //! own delivery thread — a reactor poller for TCP, the per-half pump of
 //! an in-memory wire — so the endpoint itself keeps no thread per
-//! connection. Heartbeats tick on the reactor's shared timer wheel, so
-//! an idle TCP endpoint costs two file descriptors and some bookkeeping,
-//! not two parked threads.
+//! connection. The handshake is the sink's first state: each side sends
+//! its half in one flight, and the sink accepts nothing but the peer's
+//! half until that is complete, so no thread waits on it either.
+//! Heartbeats tick on the reactor's shared timer wheel, so an idle TCP
+//! endpoint costs two file descriptors and some bookkeeping, not two
+//! parked threads.
 //!
 //! Disconnection — orderly (`Bye`) or abrupt — triggers the cleanup path:
 //! every proxy bundle installed for the peer is uninstalled, so local
@@ -556,11 +559,15 @@ struct Inner {
     config: EndpointConfig,
     remote_peer: Mutex<String>,
     leases: Mutex<LeaseTable>,
-    /// Held while a lease announcement is computed and sent. A full
+    /// Held while a lease or event-interest announcement is computed and
+    /// sent; `true` once our handshake flight is on the wire. A full
     /// `Lease` snapshot overtaken by the `LeaseUpdate` of a registration
     /// it missed would reset the peer to the stale snapshot and lose that
-    /// service for good.
-    lease_order: Mutex<()>,
+    /// service for good, and an `EventInterest` snapshot overtaken by an
+    /// older one would leave the peer with stale interest. Before the
+    /// flight nothing is announced: the flight's own snapshots, taken
+    /// later under this lock, already cover it.
+    lease_order: Mutex<bool>,
     calls: CallTable<CallResult>,
     pool: Arc<BufferPool>,
     pending_fetches: Mutex<HashMap<String, FetchWaiter>>,
@@ -598,7 +605,7 @@ struct Inner {
     obs: Obs,
     /// Trace context of whatever span was current when the endpoint was
     /// established (e.g. the engine's `interaction` span). Reconnect
-    /// spans run on a teardown thread and parent here explicitly.
+    /// spans run on a thread of their own and parent here explicitly.
     conn_ctx: Option<SpanCtx>,
 }
 
@@ -613,145 +620,62 @@ impl RemoteEndpoint {
     ///
     /// Both sides call this (the protocol is symmetric): typically the
     /// client on the transport returned by `connect`, the server on the
-    /// transport returned by `accept`.
+    /// transport returned by `accept`. Blocks until the peer's half of
+    /// the handshake has arrived, for at most
+    /// [`EndpointConfig::handshake_timeout`]; [`RemoteEndpoint::start`]
+    /// is the same handshake without the wait.
     ///
     /// # Errors
     ///
-    /// Returns [`RosgiError::Handshake`] on protocol violations, a
-    /// transport error if the connection drops mid-handshake, or a wire
-    /// error on undecodable frames.
+    /// Returns [`RosgiError::Handshake`] on protocol violations and on
+    /// timeout, a transport error if the connection drops mid-handshake,
+    /// or a wire error on undecodable frames.
     pub fn establish(
         transport: Box<dyn Transport>,
         framework: Framework,
         config: EndpointConfig,
     ) -> Result<RemoteEndpoint, RosgiError> {
-        let transport: Arc<dyn Transport> = Arc::from(transport);
-        let mut leases = LeaseTable::new();
-        leases.set_ttl(config.lease_ttl);
-        // Per-endpoint metrics, shared tracer: two endpoints configured
-        // with the same `Obs` contribute spans to one trace while their
-        // `rosgi.*` counters stay independent (EndpointStats semantics).
-        let obs = config.obs.with_fresh_metrics();
-        let counters = Counters::register(obs.metrics());
-        let conn_ctx = obs.current();
-        let breaker = CircuitBreaker::new(config.breaker);
-        let retry_budget = RetryBudget::new(config.retry_budget);
-        let inner = Arc::new(Inner {
-            transport: RwLock::new(transport),
+        let timeout = config.handshake_timeout;
+        let (tx, rx) = channel::bounded(1);
+        let pending = open(
+            transport,
             framework,
             config,
-            remote_peer: Mutex::new(String::new()),
-            leases: Mutex::new(leases),
-            lease_order: Mutex::new(()),
-            calls: CallTable::new(),
-            pool: BufferPool::new(),
-            pending_fetches: Mutex::new(HashMap::new()),
-            pending_pings: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-            proxy_bundles: Mutex::new(HashMap::new()),
-            types: Mutex::new(TypeRegistry::new()),
-            has_types: AtomicBool::new(false),
-            remote_event_patterns: Mutex::new(Vec::new()),
-            send_credits: Mutex::new(HashMap::new()),
-            open_streams: Mutex::new(HashMap::new()),
-            incoming_streams: channel::unbounded(),
-            registry_listener: Mutex::new(None),
-            event_tap: Mutex::new(None),
-            interest_listener: Mutex::new(None),
-            closed: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            health: HealthMonitor::new(),
-            breaker,
-            retry_budget,
-            disconnect_reason: Mutex::new(DisconnectReason::None),
-            done: (Mutex::new(false), Condvar::new()),
-            counters,
-            obs,
-            conn_ctx,
-        });
-
-        // --- handshake (both directions) ---
-        let wire = inner.wire();
-        let mut hs_span = inner.obs.span("handshake");
-        let (peer, services) = match run_handshake(&inner, &wire) {
-            Ok(out) => out,
-            Err(e) => {
-                hs_span.set("outcome", "error");
-                return Err(e);
+            Box::new(move |outcome| drop(tx.send(outcome))),
+        );
+        match rx.recv_timeout(timeout) {
+            Ok(outcome) => outcome,
+            Err(RecvTimeoutError::Timeout) => {
+                // The connection still owns the endpoint; one that made it
+                // in the meantime is dropped, and so closed, with `rx`.
+                if let Some(inner) = pending.upgrade() {
+                    inner.abandon();
+                }
+                Err(RosgiError::Handshake("handshake timed out".into()))
             }
-        };
-        hs_span.set_with("peer", || peer.clone());
-        drop(hs_span);
-        inner.journal_lease("handshake", &peer, None);
-        *inner.remote_peer.lock() = peer;
-        inner.leases.lock().reset(services);
-
-        // --- keep the peer's lease view in sync with our registry ---
-        {
-            let weak = Arc::downgrade(&inner);
-            let listener = inner.framework.registry().add_listener(None, move |ev| {
-                let Some(inner) = weak.upgrade() else { return };
-                inner.on_local_service_event(ev);
-            });
-            *inner.registry_listener.lock() = Some(listener);
-            // Services registered between the outgoing lease above and
-            // this listener would otherwise be missed forever: re-announce
-            // the full lease once. Cheap — every entry shares the
-            // registration's Arc-backed interfaces and properties.
-            let _order = inner.lease_order.lock();
-            inner.send(&Message::Lease {
-                services: inner.exportable_services(),
-            })?;
+            Err(RecvTimeoutError::Disconnected) => {
+                Err(RosgiError::Transport(TransportError::Closed))
+            }
         }
+    }
 
-        // --- forward local events the peer subscribed to (a tap: sees
-        // every event but does not count as application interest) ---
-        {
-            let weak = Arc::downgrade(&inner);
-            let tap = inner.framework.event_admin().add_tap(move |event| {
-                let Some(inner) = weak.upgrade() else { return };
-                inner.on_local_event(event);
-            });
-            *inner.event_tap.lock() = Some(tap);
-        }
-
-        // --- keep the peer's view of our event interest current ---
-        {
-            let weak = Arc::downgrade(&inner);
-            let token = inner
-                .framework
-                .event_admin()
-                .on_subscriptions_changed(move || {
-                    let Some(inner) = weak.upgrade() else { return };
-                    if inner.closed.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let _ = inner.send(&Message::EventInterest {
-                        patterns: inner.framework.event_admin().patterns(),
-                    });
-                });
-            *inner.interest_listener.lock() = Some(token);
-            // Subscriptions may have changed between the handshake and
-            // this registration: re-announce the current set once.
-            let _ = inner.send(&Message::EventInterest {
-                patterns: inner.framework.event_admin().patterns(),
-            });
-        }
-
-        // --- frame delivery ---
-        // The transport's delivery thread (reactor poller or in-memory
-        // pump) calls the sink; frames that arrived since the handshake
-        // are drained into it in order. Heavy service handlers behind a
-        // reactor-backed wire should be paired with a [`ServeQueue`],
-        // which hops invocations off the poller thread.
-        install_delivery(&inner);
-
-        // --- heartbeat (opt-in) ---
-        if let Some(hb) = inner.config.heartbeat {
-            start_heartbeat(&inner, hb);
-        }
-
-        Ok(RemoteEndpoint { inner })
+    /// Starts the handshake over `transport` and returns without waiting
+    /// for the peer's half. The transport's delivery thread finishes it
+    /// and calls `on_ready` once, with the endpoint or with why the
+    /// handshake failed (a protocol violation, a version mismatch, the
+    /// wire closing). Until then the connection owns the endpoint, so
+    /// closing the wire drops it. This is how a device accepts phones
+    /// without a thread per connection; no timeout applies, so the caller
+    /// bounds a peer that never answers by closing its wire. `on_ready`
+    /// runs on a delivery thread, before any later frame of the
+    /// connection is dispatched, and must not block.
+    pub fn start(
+        transport: Box<dyn Transport>,
+        framework: Framework,
+        config: EndpointConfig,
+        on_ready: impl FnOnce(Result<RemoteEndpoint, RosgiError>) + Send + 'static,
+    ) {
+        open(transport, framework, config, Box::new(on_ready));
     }
 
     /// The peer's advertised name.
@@ -857,7 +781,7 @@ impl RemoteEndpoint {
     /// [`RemoteEndpoint::remove_health_listener`].
     ///
     /// Listeners run synchronously on the timer-wheel, delivery or
-    /// teardown thread — keep them quick and do not call back into the
+    /// reconnect thread — keep them quick and do not call back into the
     /// endpoint from one
     /// (push into a channel instead).
     pub fn on_health(&self, f: impl Fn(HealthEvent) + Send + Sync + 'static) -> u64 {
@@ -908,29 +832,7 @@ impl RemoteEndpoint {
             return Err(RosgiError::Closed);
         }
         let mut span = inner.obs.span_dyn(|| format!("fetch:{interface}"));
-        // Note: the local lease table is advisory only — lease updates
-        // arrive asynchronously, so a service registered on the peer a
-        // moment ago may not be listed yet. The peer is authoritative and
-        // answers `FetchFailed` for genuinely unknown interfaces.
-        let (tx, rx) = channel::bounded(1);
-        inner
-            .pending_fetches
-            .lock()
-            .insert(interface.to_owned(), tx);
-        if let Err(e) = inner.send(&Message::FetchService {
-            interface: interface.to_owned(),
-        }) {
-            inner.pending_fetches.lock().remove(interface);
-            return Err(e);
-        }
-        let outcome = rx.recv_timeout(inner.config.invoke_timeout).map_err(|_| {
-            inner.pending_fetches.lock().remove(interface);
-            RosgiError::InvocationTimeout {
-                interface: interface.to_owned(),
-                method: "<fetch>".to_owned(),
-            }
-        })?;
-        let (parts, transferred_bytes) = outcome?;
+        let (parts, transferred_bytes) = inner.fetch_parts(interface)?;
         let fetched = self.install_parts(&parts, transferred_bytes)?;
         span.set_with("transferred_bytes", || transferred_bytes.to_string());
         span.set_with("smart", || fetched.smart.to_string());
@@ -1276,9 +1178,7 @@ impl fmt::Debug for RemoteEndpoint {
 
 impl Drop for RemoteEndpoint {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.wire().close();
-        self.inner.cleanup();
+        self.inner.abandon();
     }
 }
 
@@ -1332,12 +1232,12 @@ impl CallHandle {
         } = self;
         let outcome = match slot.wait(timeout) {
             Some(result) => {
-                inner.calls.recycle(call_id, slot);
+                inner.calls.recycle(call_id, slot, true);
                 result
             }
             None => {
                 inner.calls.cancel(call_id);
-                inner.calls.recycle(call_id, slot);
+                inner.calls.recycle(call_id, slot, false);
                 Err(ServiceCallError::Remote("timeout".into()))
             }
         };
@@ -1415,6 +1315,15 @@ impl Inner {
         Arc::clone(&*self.transport.read())
     }
 
+    /// Ends the connection for good without a `Bye`: what dropping an
+    /// endpoint does, and what `establish` does to one whose handshake it
+    /// gave up on.
+    fn abandon(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.wire().close();
+        self.cleanup();
+    }
+
     /// Appends one `lease`-stream record to the configured journal; a
     /// no-op (one `Option` branch) when journaling is off. Only called
     /// from connection-lifecycle paths, never per-invocation.
@@ -1435,8 +1344,8 @@ impl Inner {
     }
 
     /// Encodes `msg` into a pooled buffer and sends it over an explicit
-    /// transport (the handshake must not race with a concurrent wire
-    /// swap).
+    /// transport (the handshake flight goes out before its wire is the
+    /// endpoint's).
     fn send_on(&self, wire: &Arc<dyn Transport>, msg: &Message) -> Result<(), RosgiError> {
         let mut w = ByteWriter::with_pool(&self.pool);
         msg.encode_into(&mut w);
@@ -1452,6 +1361,56 @@ impl Inner {
         self.counters.bytes_sent.add(frame.len() as u64);
         self.wire().send(frame)?;
         Ok(())
+    }
+
+    /// Asks the peer for `interface`'s parts and waits for them. A fetch
+    /// changes nothing on the peer, so one that timed out (its request or
+    /// its reply lost) is sent again under the retry policy, as an
+    /// idempotent invoke is.
+    fn fetch_parts(&self, interface: &str) -> Result<(ServiceParts, usize), RosgiError> {
+        let retry = self.config.retry;
+        let deadline = Instant::now() + retry.deadline;
+        let mut attempt = 0;
+        loop {
+            let outcome = self.fetch_once(interface);
+            if !matches!(outcome, Err(RosgiError::InvocationTimeout { .. }))
+                || attempt >= retry.max_retries
+                || self.closed.load(Ordering::SeqCst)
+                || Instant::now() >= deadline
+            {
+                return outcome;
+            }
+            if !self.retry_budget.try_withdraw() {
+                self.counters.retry_budget_exhausted.inc();
+                return outcome;
+            }
+            self.counters.retries.inc();
+            let left = deadline.saturating_duration_since(Instant::now());
+            std::thread::sleep(retry.backoff_for(attempt).min(left));
+            attempt += 1;
+        }
+    }
+
+    fn fetch_once(&self, interface: &str) -> Result<(ServiceParts, usize), RosgiError> {
+        // Note: the local lease table is advisory only — lease updates
+        // arrive asynchronously, so a service registered on the peer a
+        // moment ago may not be listed yet. The peer is authoritative and
+        // answers `FetchFailed` for genuinely unknown interfaces.
+        let (tx, rx) = channel::bounded(1);
+        self.pending_fetches.lock().insert(interface.to_owned(), tx);
+        if let Err(e) = self.send(&Message::FetchService {
+            interface: interface.to_owned(),
+        }) {
+            self.pending_fetches.lock().remove(interface);
+            return Err(e);
+        }
+        rx.recv_timeout(self.config.invoke_timeout).map_err(|_| {
+            self.pending_fetches.lock().remove(interface);
+            RosgiError::InvocationTimeout {
+                interface: interface.to_owned(),
+                method: "<fetch>".to_owned(),
+            }
+        })?
     }
 
     fn ping_inner(&self, timeout: Duration) -> Result<Duration, RosgiError> {
@@ -1575,13 +1534,12 @@ impl Inner {
         self.send_credits.lock().clear();
     }
 
-    /// Adopts a freshly handshaken wire after a reconnect: swaps the
-    /// transport in place (re-binding every surviving proxy — they route
-    /// through the endpoint, so same `ServiceReference`, new wire), drops
-    /// proxies whose services did not survive the outage, and installs
-    /// the fresh lease.
-    fn adopt_wire(&self, wire: Arc<dyn Transport>, peer: String, fresh: Vec<RemoteServiceInfo>) {
-        *self.transport.write() = wire;
+    /// Adopts the peer's half of a re-handshake. The new wire is already
+    /// the endpoint's ([`handshake_on`] swapped it in, re-binding every
+    /// surviving proxy — they route through the endpoint, so same
+    /// `ServiceReference`, new wire); this drops proxies whose services
+    /// did not survive the outage and installs the fresh lease.
+    fn adopt(&self, peer: String, fresh: Vec<RemoteServiceInfo>) {
         *self.remote_peer.lock() = peer;
         // Diff the fresh lease against installed proxies: a proxy whose
         // interface the peer no longer offers is uninstalled (consumers
@@ -1749,7 +1707,7 @@ impl Inner {
         Message::encode_invoke(&mut w, call_id, interface, method, args, trace, deadline_ms);
         if self.send_frame(w.into_bytes()).is_err() {
             self.calls.cancel(call_id);
-            self.calls.recycle(call_id, slot);
+            self.calls.recycle(call_id, slot, false);
             // A failed send is wire-level evidence, same as a timeout.
             self.breaker.record_failure();
             self.sync_breaker_gauge();
@@ -1783,8 +1741,24 @@ impl Inner {
                 removed: vec![reference.id().as_raw()],
             },
         };
-        let _order = self.lease_order.lock();
-        let _ = self.send(&msg);
+        let announced = self.lease_order.lock();
+        if *announced {
+            let _ = self.send(&msg);
+        }
+    }
+
+    /// Sends our current event interest, in order with every other
+    /// snapshot of it (see `lease_order`).
+    fn announce_interest(&self) {
+        if self.closed.load(Ordering::SeqCst) {
+            return;
+        }
+        let announced = self.lease_order.lock();
+        if *announced {
+            let _ = self.send(&Message::EventInterest {
+                patterns: self.framework.event_admin().patterns(),
+            });
+        }
     }
 
     fn on_local_event(&self, event: &Event) {
@@ -2223,54 +2197,193 @@ fn is_retryable(e: &ServiceCallError) -> bool {
         || matches!(e, ServiceCallError::Remote(m) if m == "timeout")
 }
 
-/// Sends our half of the handshake on `wire` and reads the peer's half.
-/// Returns the peer's name and lease. Used both by `establish` and by the
-/// reconnect path (which must handshake on a wire that is not yet the
-/// endpoint's current transport).
-fn run_handshake(
-    inner: &Inner,
-    wire: &Arc<dyn Transport>,
-) -> Result<(String, Vec<RemoteServiceInfo>), RosgiError> {
-    inner.send_on(
-        wire,
-        &Message::Hello {
-            peer: inner.config.peer_name.clone(),
-            version: PROTOCOL_VERSION,
-        },
-    )?;
-    inner.send_on(
-        wire,
-        &Message::Lease {
-            services: inner.exportable_services(),
-        },
-    )?;
-    inner.send_on(
-        wire,
-        &Message::EventInterest {
-            patterns: inner.framework.event_admin().patterns(),
-        },
-    )?;
+/// Builds the endpoint over `transport` and starts its handshake; the
+/// one body of [`RemoteEndpoint::establish`] and
+/// [`RemoteEndpoint::start`]. Returns a weak handle, by which `establish`
+/// abandons a handshake it stopped waiting for.
+fn open(
+    transport: Box<dyn Transport>,
+    framework: Framework,
+    config: EndpointConfig,
+    on_ready: ReadyFn,
+) -> Weak<Inner> {
+    let transport: Arc<dyn Transport> = Arc::from(transport);
+    let mut leases = LeaseTable::new();
+    leases.set_ttl(config.lease_ttl);
+    // Per-endpoint metrics, shared tracer: two endpoints configured with
+    // the same `Obs` contribute spans to one trace while their `rosgi.*`
+    // counters stay independent (EndpointStats semantics).
+    let obs = config.obs.with_fresh_metrics();
+    let counters = Counters::register(obs.metrics());
+    let conn_ctx = obs.current();
+    let breaker = CircuitBreaker::new(config.breaker);
+    let retry_budget = RetryBudget::new(config.retry_budget);
+    let inner = Arc::new(Inner {
+        transport: RwLock::new(Arc::clone(&transport)),
+        framework,
+        config,
+        remote_peer: Mutex::new(String::new()),
+        leases: Mutex::new(leases),
+        lease_order: Mutex::new(false),
+        calls: CallTable::new(),
+        pool: BufferPool::new(),
+        pending_fetches: Mutex::new(HashMap::new()),
+        pending_pings: Mutex::new(HashMap::new()),
+        next_id: AtomicU64::new(1),
+        proxy_bundles: Mutex::new(HashMap::new()),
+        types: Mutex::new(TypeRegistry::new()),
+        has_types: AtomicBool::new(false),
+        remote_event_patterns: Mutex::new(Vec::new()),
+        send_credits: Mutex::new(HashMap::new()),
+        open_streams: Mutex::new(HashMap::new()),
+        incoming_streams: channel::unbounded(),
+        registry_listener: Mutex::new(None),
+        event_tap: Mutex::new(None),
+        interest_listener: Mutex::new(None),
+        closed: AtomicBool::new(false),
+        shutdown: AtomicBool::new(false),
+        health: HealthMonitor::new(),
+        breaker,
+        retry_budget,
+        disconnect_reason: Mutex::new(DisconnectReason::None),
+        done: (Mutex::new(false), Condvar::new()),
+        counters,
+        obs,
+        conn_ctx,
+    });
 
-    let deadline = Instant::now() + inner.config.handshake_timeout;
-    let mut peer = None;
-    let mut services = None;
-    while peer.is_none() || services.is_none() {
-        let remaining = deadline
-            .checked_duration_since(Instant::now())
-            .ok_or_else(|| RosgiError::Handshake("handshake timed out".into()))?;
-        let frame = wire.recv_timeout(remaining)?;
-        inner.counters.frames_received.inc();
-        inner.counters.bytes_received.add(frame.len() as u64);
-        match Message::decode(&frame)? {
-            Message::Hello { peer: p, version } => {
-                if version != PROTOCOL_VERSION {
-                    return Err(RosgiError::Handshake(format!(
-                        "protocol version mismatch: ours {PROTOCOL_VERSION}, theirs {version}"
-                    )));
-                }
-                peer = Some(p);
+    // --- keep the peer's lease view in sync with our registry ---
+    let weak = Arc::downgrade(&inner);
+    let listener = inner.framework.registry().add_listener(None, move |ev| {
+        let Some(inner) = weak.upgrade() else { return };
+        inner.on_local_service_event(ev);
+    });
+    *inner.registry_listener.lock() = Some(listener);
+
+    // --- forward local events the peer subscribed to (a tap: sees every
+    // event but does not count as application interest; the peer's
+    // interest, and so any forwarding, comes after our flight) ---
+    let weak = Arc::downgrade(&inner);
+    let tap = inner.framework.event_admin().add_tap(move |event| {
+        let Some(inner) = weak.upgrade() else { return };
+        inner.on_local_event(event);
+    });
+    *inner.event_tap.lock() = Some(tap);
+
+    // --- keep the peer's view of our event interest current ---
+    let weak = Arc::downgrade(&inner);
+    let token = inner
+        .framework
+        .event_admin()
+        .on_subscriptions_changed(move || {
+            if let Some(inner) = weak.upgrade() {
+                inner.announce_interest();
             }
-            Message::Lease { services: s } => services = Some(s),
+        });
+    *inner.interest_listener.lock() = Some(token);
+
+    // --- handshake: both listeners are in place, so whatever changes
+    // from here on is either in the flight's snapshots or announced after
+    // them ---
+    let span = inner.obs.span("handshake");
+    let endpoint = RemoteEndpoint {
+        inner: Arc::clone(&inner),
+    };
+    handshake_on(&inner, transport, Then::Ready(endpoint, on_ready), span);
+    Arc::downgrade(&inner)
+}
+
+/// Sends our half of the handshake on `wire` — `Hello`, then full `Lease`
+/// and `EventInterest` snapshots — and installs the sink that reads the
+/// peer's half. The flight goes out under `lease_order`, and `wire`
+/// becomes the endpoint's wire in the same step: no `LeaseUpdate` or
+/// `EventInterest` can overtake the snapshots, and no other frame can
+/// precede `Hello`. The one handshake path of `establish`, `start` and
+/// reconnection.
+fn handshake_on(inner: &Arc<Inner>, wire: Arc<dyn Transport>, then: Then, span: Span) {
+    let handshake = Handshake {
+        peer: None,
+        services: None,
+        then,
+        span,
+    };
+    let sent = {
+        let mut announced = inner.lease_order.lock();
+        let flight = [
+            Message::Hello {
+                peer: inner.config.peer_name.clone(),
+                version: PROTOCOL_VERSION,
+            },
+            Message::Lease {
+                services: inner.exportable_services(),
+            },
+            Message::EventInterest {
+                patterns: inner.framework.event_admin().patterns(),
+            },
+        ];
+        let sent = flight.iter().try_for_each(|msg| inner.send_on(&wire, msg));
+        if sent.is_ok() {
+            *inner.transport.write() = Arc::clone(&wire);
+            *announced = true;
+        }
+        sent
+    };
+    if let Err(e) = sent {
+        wire.close();
+        handshake.fail(e);
+        return;
+    }
+    // Outside `lease_order`: a TCP transport delivers the frames that
+    // already arrived on this thread, and one of them may end the
+    // handshake and run `on_ready`.
+    wire.set_sink(Box::new(EndpointSink {
+        inner: Arc::downgrade(inner),
+        wire: Arc::clone(&wire),
+        phase: Phase::Handshake(handshake),
+    }));
+}
+
+/// Receives the endpoint of a finished handshake, or why it failed.
+type ReadyFn = Box<dyn FnOnce(Result<RemoteEndpoint, RosgiError>) + Send>;
+
+/// Who waits for a handshake.
+enum Then {
+    /// A new endpoint, owned by its connection until the handshake ends
+    /// (closing the wire drops it), then handed over.
+    Ready(RemoteEndpoint, ReadyFn),
+    /// A reconnect attempt, waited for on the reconnect thread.
+    Rejoin(Arc<Rejoin>),
+}
+
+/// The reading half of a handshake, the first state of an
+/// [`EndpointSink`]: it accepts `Hello`, `Lease` and `EventInterest`
+/// only, until the peer's `Hello` and `Lease` have both arrived.
+struct Handshake {
+    peer: Option<String>,
+    services: Option<Vec<RemoteServiceInfo>>,
+    then: Then,
+    /// The `handshake` span of a new endpoint (none for a reconnect).
+    span: Span,
+}
+
+impl Handshake {
+    /// Takes in one frame of the peer's half; returns the peer's name and
+    /// lease once both are in.
+    fn step(
+        &mut self,
+        inner: &Inner,
+        msg: Message,
+    ) -> Result<Option<(String, Vec<RemoteServiceInfo>)>, RosgiError> {
+        match msg {
+            Message::Hello { peer, version } if version == PROTOCOL_VERSION => {
+                self.peer = Some(peer);
+            }
+            Message::Hello { version, .. } => {
+                return Err(RosgiError::Handshake(format!(
+                    "protocol version mismatch: ours {PROTOCOL_VERSION}, theirs {version}"
+                )))
+            }
+            Message::Lease { services } => self.services = Some(services),
             Message::EventInterest { patterns } => {
                 *inner.remote_event_patterns.lock() = patterns;
             }
@@ -2280,11 +2393,95 @@ fn run_handshake(
                 )))
             }
         }
+        if self.peer.is_none() || self.services.is_none() {
+            return Ok(None);
+        }
+        Ok(self.peer.take().zip(self.services.take()))
     }
-    Ok((
-        peer.expect("loop exits only with peer"),
-        services.expect("loop exits only with services"),
-    ))
+
+    /// The peer's half is in: records who it is and what it offers, and
+    /// hands over to whoever waits. Returns `false` when nobody does any
+    /// more (a reconnect attempt that timed out); the wire must close.
+    fn complete(self, inner: &Arc<Inner>, peer: String, services: Vec<RemoteServiceInfo>) -> bool {
+        let Handshake { then, mut span, .. } = self;
+        span.set_with("peer", || peer.clone());
+        drop(span);
+        match then {
+            Then::Ready(endpoint, on_ready) => {
+                inner.journal_lease("handshake", &peer, None);
+                *inner.remote_peer.lock() = peer;
+                inner.leases.lock().reset(services);
+                if let Some(hb) = inner.config.heartbeat {
+                    start_heartbeat(inner, hb);
+                }
+                on_ready(Ok(endpoint));
+                true
+            }
+            Then::Rejoin(rejoin) => rejoin.settle(true, || {
+                inner.journal_lease("rehandshake", &peer, None);
+                inner.adopt(peer, services);
+            }),
+        }
+    }
+
+    /// The handshake failed: a new endpoint is dropped (and so torn
+    /// down) before its waiter hears why.
+    fn fail(self, why: RosgiError) {
+        let Handshake { then, mut span, .. } = self;
+        span.set("outcome", "error");
+        match then {
+            Then::Ready(endpoint, on_ready) => {
+                drop(endpoint);
+                on_ready(Err(why));
+            }
+            Then::Rejoin(rejoin) => {
+                rejoin.settle(false, || {});
+            }
+        }
+    }
+}
+
+/// One reconnect attempt's verdict, settled exactly once: by its sink
+/// (handshake done or failed) or by the reconnect thread (timed out),
+/// whichever comes first. Only a handshake that settles it adopts the
+/// wire, so a late one cannot revive a wire the thread gave up on.
+#[derive(Default)]
+struct Rejoin {
+    verdict: Mutex<Option<bool>>,
+    settled: Condvar,
+}
+
+impl Rejoin {
+    /// Settles the attempt as `ok`, running `then` first under the lock,
+    /// unless it is settled already. Returns whether this call settled it.
+    fn settle(&self, ok: bool, then: impl FnOnce()) -> bool {
+        let mut verdict = self.verdict.lock();
+        if verdict.is_some() {
+            return false;
+        }
+        then();
+        *verdict = Some(ok);
+        self.settled.notify_all();
+        true
+    }
+
+    /// Waits up to `timeout` for the verdict, settling it as failed if
+    /// none came.
+    fn wait(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut verdict = self.verdict.lock();
+        loop {
+            if let Some(ok) = *verdict {
+                return ok;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                *verdict = Some(false);
+                return false;
+            }
+            verdict = self.settled.wait_timeout(verdict, left).0;
+        }
+    }
 }
 
 /// The heartbeat: probes the peer, drives the health state machine,
@@ -2407,7 +2604,7 @@ impl HbTick {
 /// the endpoint is healthy again, `false` when every attempt failed or an
 /// orderly shutdown intervened.
 fn try_reconnect(inner: &Arc<Inner>, rc: &ReconnectConfig) -> bool {
-    // Runs on a teardown thread: parent explicitly under whatever span
+    // Runs on a reconnect thread: parent explicitly under whatever span
     // was current when the endpoint was established, so reconnects show
     // up inside the interaction's trace.
     let mut span = inner.obs.child_of(inner.conn_ctx, "reconnect");
@@ -2430,16 +2627,15 @@ fn try_reconnect(inner: &Arc<Inner>, rc: &ReconnectConfig) -> bool {
             Err(_) => continue,
         };
         let wire: Arc<dyn Transport> = Arc::from(fresh);
-        match run_handshake(inner, &wire) {
-            Ok((peer, services)) => {
-                inner.journal_lease("rehandshake", &peer, None);
-                inner.adopt_wire(wire, peer, services);
-                span.set_with("attempts", || (attempt + 1).to_string());
-                span.set("outcome", "ok");
-                return true;
-            }
-            Err(_) => wire.close(),
+        let rejoin = Arc::new(Rejoin::default());
+        let then = Then::Rejoin(Arc::clone(&rejoin));
+        handshake_on(inner, Arc::clone(&wire), then, Span::none());
+        if rejoin.wait(inner.config.handshake_timeout) {
+            span.set_with("attempts", || (attempt + 1).to_string());
+            span.set("outcome", "ok");
+            return true;
         }
+        wire.close();
     }
     span.set("outcome", "gave-up");
     false
@@ -2485,11 +2681,23 @@ fn process_frame(
 
 /// Frame delivery: the transport's delivery thread calls in here.
 /// Everything must stay non-blocking (a reactor poller serves many
-/// connections), so teardown and reconnection hop to a short-lived
-/// thread.
+/// connections). The sink first reads the peer's half of the handshake,
+/// then serves; a dead wire is torn down inline, and only a reconnect
+/// hops to a thread of its own.
 struct EndpointSink {
     inner: Weak<Inner>,
     wire: Arc<dyn Transport>,
+    phase: Phase,
+}
+
+enum Phase {
+    /// Waiting for the peer's `Hello` and `Lease`.
+    Handshake(Handshake),
+    /// Handshake done: every frame is dispatched.
+    Serving,
+    /// The handshake failed and the wire is closing: nothing more is
+    /// read.
+    Refused,
 }
 
 impl FrameSink for EndpointSink {
@@ -2497,62 +2705,108 @@ impl FrameSink for EndpointSink {
         let Some(inner) = self.inner.upgrade() else {
             return;
         };
-        if let Err(why) = process_frame(&inner, &self.wire, frame) {
-            // `process_frame` closed the wire; `on_close` follows and
-            // owns the teardown/reconnect decision. Record the precise
-            // cause now — first-cause-wins keeps it over the generic
-            // transport-closed reason.
-            inner.record_disconnect(why);
+        let handshake = match &mut self.phase {
+            Phase::Handshake(handshake) => handshake,
+            Phase::Serving => {
+                if let Err(why) = process_frame(&inner, &self.wire, frame) {
+                    // `process_frame` closed the wire; `on_close` follows
+                    // and owns the teardown/reconnect decision. Record the
+                    // precise cause now — first-cause-wins keeps it over
+                    // the generic transport-closed reason.
+                    inner.record_disconnect(why);
+                }
+                return;
+            }
+            Phase::Refused => return,
+        };
+        inner.counters.frames_received.inc();
+        inner.counters.bytes_received.add(frame.len() as u64);
+        let step = Message::decode(&frame)
+            .map_err(RosgiError::from)
+            .and_then(|msg| handshake.step(&inner, msg));
+        inner.pool.give(frame);
+        match step {
+            Ok(None) => {}
+            Ok(Some((peer, services))) => {
+                if let Some(handshake) = self.leave_handshake(Phase::Serving) {
+                    if !handshake.complete(&inner, peer, services) {
+                        self.phase = Phase::Refused;
+                        self.wire.close();
+                    }
+                }
+            }
+            Err(why) => {
+                // Nothing of a peer that broke the handshake is dispatched.
+                self.wire.close();
+                if let Some(handshake) = self.leave_handshake(Phase::Refused) {
+                    handshake.fail(why);
+                }
+            }
         }
     }
 
     fn on_close(&mut self) {
-        let Some(inner) = self.inner.upgrade() else {
-            return;
-        };
-        inner.record_disconnect(match self.wire.close_reason() {
-            CloseReason::CorruptStream => DisconnectReason::CorruptStream,
-            // `Local` closes record their own (more precise) reason at
-            // the closing site: Bye, close(), or the heartbeat;
-            // first-cause-wins keeps it.
-            _ => DisconnectReason::TransportClosed,
+        match std::mem::replace(&mut self.phase, Phase::Refused) {
+            Phase::Handshake(handshake) => {
+                handshake.fail(RosgiError::Transport(TransportError::Closed));
+            }
+            Phase::Serving => {
+                if let Some(inner) = self.inner.upgrade() {
+                    wire_down(inner, self.wire.close_reason());
+                }
+            }
+            Phase::Refused => {}
+        }
+    }
+}
+
+impl EndpointSink {
+    /// Moves on from the handshake to `next`, handing back its state.
+    fn leave_handshake(&mut self, next: Phase) -> Option<Handshake> {
+        match std::mem::replace(&mut self.phase, next) {
+            Phase::Handshake(handshake) => Some(handshake),
+            _ => None,
+        }
+    }
+}
+
+/// The wire under a serving endpoint died. Waiters fail and, unless a
+/// reconnect follows, the endpoint is torn down right here on the
+/// delivery thread. A reconnect backs off and dials, so it runs on a
+/// `rosgi-down-<peer>` thread that lives only for the outage, counted in
+/// the process-wide `rosgi.wire_down_threads`.
+fn wire_down(inner: Arc<Inner>, reason: CloseReason) {
+    inner.record_disconnect(match reason {
+        CloseReason::CorruptStream => DisconnectReason::CorruptStream,
+        // `Local` closes record their own (more precise) reason at the
+        // closing site: Bye, close(), or the heartbeat; first-cause-wins
+        // keeps it.
+        _ => DisconnectReason::TransportClosed,
+    });
+    inner.on_wire_down();
+    let reconnect =
+        inner.config.reconnect.clone().filter(|_| {
+            !inner.shutdown.load(Ordering::SeqCst) && !inner.closed.load(Ordering::SeqCst)
         });
+    if let Some(rc) = reconnect {
         let down = Arc::clone(&inner);
         let spawned = std::thread::Builder::new()
             .name(format!("rosgi-down-{}", inner.config.peer_name))
-            .spawn(move || wire_down(down));
-        if spawned.is_err() {
-            // No thread to reconnect on, and a panic here would take the
-            // poller and every connection on it down: tear down inline.
-            inner.on_wire_down();
-            inner.cleanup();
+            .spawn(move || {
+                if !try_reconnect(&down, &rc) {
+                    down.cleanup();
+                }
+            });
+        if spawned.is_ok() {
+            alfredo_obs::global_metrics()
+                .counter("rosgi.wire_down_threads")
+                .inc();
+            return;
         }
-    }
-}
-
-/// Continuation of a dead wire, off the delivery thread: reconnect if
-/// configured, full teardown otherwise. The thread lives only for the
-/// outage — nothing stays parked per connection.
-fn wire_down(inner: Arc<Inner>) {
-    inner.on_wire_down();
-    if !inner.shutdown.load(Ordering::SeqCst) && !inner.closed.load(Ordering::SeqCst) {
-        if let Some(rc) = inner.config.reconnect.clone() {
-            if try_reconnect(&inner, &rc) && !inner.closed.load(Ordering::SeqCst) {
-                install_delivery(&inner);
-                return;
-            }
-        }
+        // No thread to reconnect on, and a panic here would take the
+        // poller and every connection on it down: tear down instead.
     }
     inner.cleanup();
-}
-
-/// Arms frame delivery on the endpoint's current wire.
-fn install_delivery(inner: &Arc<Inner>) {
-    let wire = inner.wire();
-    wire.set_sink(Box::new(EndpointSink {
-        inner: Arc::downgrade(inner),
-        wire: Arc::clone(&wire),
-    }));
 }
 
 #[cfg(test)]

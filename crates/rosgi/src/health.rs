@@ -98,7 +98,7 @@ type Listener = Arc<dyn Fn(HealthEvent) + Send + Sync>;
 /// Tracks a [`HealthState`] and notifies subscribers of transitions.
 ///
 /// Listeners run synchronously on the thread performing the transition
-/// (the timer wheel, a delivery thread or a teardown thread), so they
+/// (the timer wheel, a delivery thread or a reconnect thread), so they
 /// must be quick and must not call back into the endpoint — push into a
 /// channel and drain elsewhere.
 #[derive(Default)]

@@ -3,10 +3,12 @@
 //! disconnection semantics.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
-use alfredo_net::{InMemoryNetwork, PeerAddr};
+use alfredo_net::{
+    InMemoryNetwork, PeerAddr, TcpNetListener, TcpTransport, Transport, TransportError,
+};
 use alfredo_osgi::{
     BundleState, CodeRegistry, Event, FnService, Framework, MethodSpec, ParamSpec, Properties,
     ServiceCallError, ServiceInterfaceDesc, TypeHint, Value,
@@ -14,7 +16,7 @@ use alfredo_osgi::{
 use alfredo_rosgi::endpoint::{
     encode_type_descriptors, PROP_INJECTED_TYPES, PROP_SMART_PROXY_KEY, PROP_SMART_PROXY_METHODS,
 };
-use alfredo_rosgi::{EndpointConfig, RemoteEndpoint, RosgiError, TypeDescriptor};
+use alfredo_rosgi::{EndpointConfig, Message, RemoteEndpoint, RosgiError, TypeDescriptor};
 
 fn adder_interface() -> ServiceInterfaceDesc {
     ServiceInterfaceDesc::new(
@@ -269,6 +271,215 @@ fn lease_updates_track_registry_changes() {
         "unregistration should drop from the lease"
     );
     ep.close();
+}
+
+/// Busy-waits for `skew`: a sleep would round every offset up to the
+/// scheduler's tick and land each change at the same point.
+fn spin(skew: Duration) {
+    let until = Instant::now() + skew;
+    while Instant::now() < until {
+        std::hint::spin_loop();
+    }
+}
+
+/// The device's registry and the phone's subscriptions change while both
+/// sides run `establish`. Once a ping is back, the phone's lease equals
+/// the device's registry, and an event the device posts reaches the
+/// subscription the phone added. Each round shifts the two changes
+/// against the handshake, so over the rounds they land before, between
+/// and after the listeners' install and the snapshots of the flight.
+fn changes_during_establish_are_never_lost(
+    rounds: u64,
+    pair: impl Fn(u64) -> (Box<dyn Transport>, Box<dyn Transport>),
+) {
+    const TOPIC: &str = "race/tap";
+    for round in 0..rounds {
+        let device_fw = Framework::new();
+        let adder = device_fw
+            .system_context()
+            .register_service(&["demo.Adder"], adder_service(), Properties::new())
+            .unwrap();
+        let phone_fw = Framework::new();
+        let (phone_wire, device_wire) = pair(round);
+
+        let device = {
+            let fw = device_fw.clone();
+            let config = EndpointConfig::named("dev-race");
+            std::thread::spawn(move || RemoteEndpoint::establish(device_wire, fw, config).unwrap())
+        };
+        // Even rounds register a service, odd ones unregister the one the
+        // device started with.
+        let churn = {
+            let fw = device_fw.clone();
+            let skew = Duration::from_micros(round % 16 * 12);
+            std::thread::spawn(move || {
+                spin(skew);
+                if round % 2 == 0 {
+                    let late = Arc::new(FnService::new(|_, _| Ok(Value::Unit)));
+                    let registration = fw.system_context().register_service(
+                        &["demo.Late"],
+                        late,
+                        Properties::new(),
+                    );
+                    Some(registration.unwrap())
+                } else {
+                    adder.unregister().unwrap();
+                    None
+                }
+            })
+        };
+        let (hit_tx, hits) = mpsc::channel();
+        let subscriber = {
+            let fw = phone_fw.clone();
+            let skew = Duration::from_micros(round % 13 * 15);
+            std::thread::spawn(move || {
+                spin(skew);
+                fw.event_admin().subscribe(TOPIC, move |_| {
+                    let _ = hit_tx.send(());
+                });
+            })
+        };
+        let phone =
+            RemoteEndpoint::establish(phone_wire, phone_fw.clone(), EndpointConfig::named("phone"))
+                .unwrap();
+        let _late = churn.join().unwrap();
+        subscriber.join().unwrap();
+        let device = device.join().unwrap();
+
+        barrier(&phone);
+        let mut leased: Vec<u64> = phone
+            .remote_services()
+            .iter()
+            .map(|s| s.remote_id)
+            .collect();
+        leased.sort_unstable();
+        let registered: Vec<u64> = device_fw
+            .registry()
+            .all_references(None)
+            .iter()
+            .map(|r| r.id().as_raw())
+            .collect();
+        assert_eq!(leased, registered, "round {round}: the lease went stale");
+
+        device_fw
+            .event_admin()
+            .post(&Event::new(TOPIC, Properties::new()));
+        hits.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("round {round}: the interest went stale"));
+        phone.close();
+        device.close();
+    }
+}
+
+#[test]
+fn changes_during_establish_reach_the_peer_in_memory() {
+    let net = InMemoryNetwork::new();
+    let listener = net.bind(PeerAddr::new("dev-race")).unwrap();
+    changes_during_establish_are_never_lost(200, |round| {
+        let phone = net
+            .connect(
+                PeerAddr::new(format!("phone{round}")),
+                PeerAddr::new("dev-race"),
+            )
+            .unwrap();
+        let device = listener.accept().unwrap();
+        (Box::new(phone), Box::new(device))
+    });
+}
+
+#[test]
+fn changes_during_establish_reach_the_peer_over_tcp() {
+    let listener = TcpNetListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr();
+    changes_during_establish_are_never_lost(200, |_| {
+        let phone = TcpTransport::connect(addr).unwrap();
+        let device = listener.accept().unwrap();
+        (Box::new(phone), Box::new(device))
+    });
+}
+
+/// A peer that opens with anything but its half of the handshake — an
+/// `Invoke`, a `FetchService`, or a `Hello` of another protocol version
+/// — gets a closed connection and nothing else. No call is served, all
+/// it reads is the device's own half, and the device's `start` reports a
+/// failed handshake instead of an endpoint; a proper half sent after the
+/// opener changes none of that.
+#[test]
+fn frames_before_the_handshake_close_the_connection() {
+    let net = InMemoryNetwork::new();
+    let device_fw = Framework::new();
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counting = {
+        let calls = Arc::clone(&calls);
+        FnService::new(move |_, args| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            Ok(Value::I64(args.iter().filter_map(Value::as_i64).sum()))
+        })
+        .with_description(adder_interface())
+    };
+    device_fw
+        .system_context()
+        .register_service(&["demo.Adder"], Arc::new(counting), Properties::new())
+        .unwrap();
+    let listener = net.bind(PeerAddr::new("dev-hostile")).unwrap();
+    let openers = [
+        Message::Invoke {
+            call_id: 1,
+            interface: "demo.Adder".into(),
+            method: "add".into(),
+            args: vec![Value::I64(1), Value::I64(2)],
+        },
+        Message::FetchService {
+            interface: "demo.Adder".into(),
+        },
+        Message::Hello {
+            peer: "future".into(),
+            version: 99,
+        },
+    ];
+    for opener in openers {
+        let hostile = net
+            .connect(PeerAddr::new("hostile"), PeerAddr::new("dev-hostile"))
+            .unwrap();
+        let (ready_tx, ready) = mpsc::channel();
+        RemoteEndpoint::start(
+            Box::new(listener.accept().unwrap()),
+            device_fw.clone(),
+            EndpointConfig::named("dev-hostile"),
+            move |outcome| drop(ready_tx.send(outcome.map(|_| ()))),
+        );
+        hostile.send(opener.encode()).unwrap();
+        // The device may have closed by now; these sends may fail.
+        let hello = Message::Hello {
+            peer: "hostile".into(),
+            version: 1,
+        };
+        for late in [hello, Message::Lease { services: vec![] }, opener.clone()] {
+            let _ = hostile.send(late.encode());
+        }
+
+        let outcome = ready.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(
+            matches!(outcome, Err(RosgiError::Handshake(_))),
+            "{opener:?}: {outcome:?}"
+        );
+        let mut read = Vec::new();
+        loop {
+            match hostile.recv_timeout(Duration::from_secs(5)) {
+                Ok(frame) => read.push(Message::decode(&frame).unwrap()),
+                Err(TransportError::Closed) => break,
+                Err(e) => panic!("{opener:?}: the device kept the wire open: {e}"),
+            }
+        }
+        assert!(
+            read.iter().all(|m| matches!(
+                m,
+                Message::Hello { .. } | Message::Lease { .. } | Message::EventInterest { .. }
+            )),
+            "{opener:?}: {read:?}"
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "{opener:?} was served");
+    }
 }
 
 #[test]

@@ -331,13 +331,6 @@ fn tcp_device_hosts_a_journaled_room() {
     };
     let (alice, alice_replica, _alice_updates) = phone("alice");
     let (bob, bob_replica, bob_updates) = phone("bob");
-    // `join` resolves a member's sink from the roster, and a phone's
-    // handshake can return before the device has rostered its side.
-    let deadline = std::time::Instant::now() + timeout;
-    while device.connections() < 2 {
-        assert!(std::time::Instant::now() < deadline, "phones not rostered");
-        std::thread::yield_now();
-    }
 
     let call = |(who, ep): (&str, &RemoteEndpoint), method: &str, args: &[Value]| {
         let mut full = vec![Value::Str(ROOM.into()), Value::Str(who.into())];
@@ -410,4 +403,47 @@ fn tcp_device_hosts_a_journaled_room() {
     device.stop();
     journal.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The device rosters a phone as its handshake completes, before it
+/// dispatches any later frame of the connection, so a `join` sent right
+/// after `establish` finds the phone's sink: no `Busy`, no retry. The
+/// phone would retry a `Busy`, and count it; a hundred phones in a row
+/// count none.
+#[test]
+fn room_join_right_after_establish_needs_no_retry() {
+    use alfredo_core::{register_room_hub, RoomConfig, RoomHub, ROOMS_INTERFACE};
+    use alfredo_osgi::Value;
+    use alfredo_rosgi::{HeartbeatConfig, RetryPolicy};
+
+    let fw = Framework::new();
+    let hub = RoomHub::new(RoomConfig::new("board"));
+    let _registration = register_room_hub(&fw, Arc::clone(&hub)).unwrap();
+    let device = Device::new(fw)
+        .rooms(hub, HeartbeatConfig::default())
+        .serve_tcp(TcpNetListener::bind("127.0.0.1:0").unwrap())
+        .unwrap();
+    let retry = RetryPolicy {
+        max_retries: 3,
+        ..RetryPolicy::default()
+    };
+    for round in 0..100 {
+        let name = format!("phone-{round}");
+        let wire = TcpTransport::connect(device.addr()).unwrap();
+        let config = EndpointConfig::named(name.clone()).with_retry(retry);
+        let phone = RemoteEndpoint::establish(Box::new(wire), Framework::new(), config).unwrap();
+        let seat = [Value::from("board"), Value::from(name.as_str())];
+        phone
+            .invoke(ROOMS_INTERFACE, "join", &seat)
+            .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        let stats = phone.stats();
+        assert_eq!(
+            (stats.busy_received, stats.retries),
+            (0, 0),
+            "round {round}: {stats:?}"
+        );
+        phone.invoke(ROOMS_INTERFACE, "leave", &seat).unwrap();
+        phone.close();
+    }
+    device.stop();
 }

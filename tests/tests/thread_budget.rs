@@ -1,19 +1,20 @@
 //! What an in-memory endpoint costs in threads: one pump per connection
 //! half, owned by the transport, and nothing of the endpoint's own — no
 //! reader, no heartbeat thread (heartbeats tick on the shared timer
-//! wheel). Closing gives the pumps back. A served device adds one accept
-//! thread, whatever the number of phones. Alone in its test binary: it
-//! counts the process's threads by name, which tests running beside it
-//! would move — its own two tests take turns.
+//! wheel), no teardown thread unless a reconnect follows. Closing gives
+//! the pumps back. A served device adds one accept thread, whatever the
+//! number of phones. Alone in its test binary: it counts the process's
+//! threads by name, which tests running beside it would move — its own
+//! tests take turns.
 #![cfg(target_os = "linux")]
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use alfredo_core::Device;
-use alfredo_net::{InMemoryNetwork, PeerAddr};
+use alfredo_net::{InMemoryNetwork, PeerAddr, Transport};
 use alfredo_osgi::Framework;
-use alfredo_rosgi::{EndpointConfig, HeartbeatConfig, RemoteEndpoint};
+use alfredo_rosgi::{EndpointConfig, HeartbeatConfig, ReconnectConfig, RemoteEndpoint};
 
 const PAIRS: usize = 16;
 
@@ -85,11 +86,7 @@ fn in_memory_endpoints_cost_one_pump_per_half_and_return_it() {
     wait_until("every pump to exit", Duration::from_secs(5), || {
         threads_named("net-pump-").is_empty()
     });
-    wait_until(
-        "the teardown threads to exit",
-        Duration::from_secs(5),
-        || threads_named("rosgi-").is_empty(),
-    );
+    assert_eq!(threads_named("rosgi-"), Vec::<String>::new());
 }
 
 /// The reactor's pollers and its timer wheel (which the handshake reaper
@@ -98,7 +95,7 @@ fn process_wide(name: &str) -> bool {
     name.starts_with("alfredo-io-") || name == "alfredo-timer-w"
 }
 
-/// The harness's thread for the other test (named after it, both start
+/// The harness's thread for another test (named after it; all start
 /// `in_memory_`) may show up at any moment, to park on `COUNTING`.
 fn harness(name: &str) -> bool {
     name.starts_with("in_memory_")
@@ -131,8 +128,8 @@ fn in_memory_device_owns_one_accept_thread_however_many_phones() {
     });
 
     // What 16 connected phones added: the two pumps of each connection,
-    // which are the transports'. Still one accept thread, the handshake
-    // threads are gone; nothing per connection.
+    // which are the transports'. Still one accept thread, and no thread
+    // ever ran a handshake; nothing per connection.
     let mut expected: Vec<String> = (0..PAIRS)
         .flat_map(|i| [format!("net-pump-ph{i}"), "net-pump-dev".to_owned()])
         .collect();
@@ -162,5 +159,65 @@ fn in_memory_device_owns_one_accept_thread_however_many_phones() {
                 .all(|name| process_wide(name))
                 && threads_named("net-pump-").is_empty()
         },
+    );
+}
+
+/// A dead wire is torn down on the thread that saw it die; only a
+/// reconnect, which backs off and dials, gets a thread of its own, and
+/// `rosgi.wire_down_threads` counts those. Sixteen orderly closes, on
+/// both sides of each connection, add none; one reconnect-configured
+/// phone whose wire is cut adds exactly one.
+#[test]
+fn in_memory_wire_down_spends_a_thread_only_to_reconnect() {
+    let _turn = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+    let spawned = alfredo_obs::global_metrics().counter("rosgi.wire_down_threads");
+    let before = spawned.get();
+    let net = InMemoryNetwork::new();
+    let device = Device::new(Framework::new())
+        .serve(&net, PeerAddr::new("down"))
+        .expect("serve");
+    let dial = |name: &str| net.connect(PeerAddr::new(name), PeerAddr::new("down"));
+
+    for i in 0..PAIRS {
+        let name = format!("orderly{i}");
+        let wire = dial(&name).expect("connect");
+        let config = EndpointConfig::named(name);
+        let phone =
+            RemoteEndpoint::establish(Box::new(wire), Framework::new(), config).expect("handshake");
+        phone.close();
+    }
+    wait_until(
+        "the device's side of every close",
+        Duration::from_secs(5),
+        || device.connections() == 0,
+    );
+    assert_eq!(spawned.get(), before, "an orderly close spent a thread");
+
+    let wire = dial("cut").expect("connect");
+    let cut = wire.closer();
+    let redial = {
+        let net = net.clone();
+        Arc::new(move || {
+            net.connect(PeerAddr::new("cut"), PeerAddr::new("down"))
+                .map(|t| Box::new(t) as Box<dyn Transport>)
+        })
+    };
+    let mut reconnect = ReconnectConfig::new(redial);
+    reconnect.initial_backoff = Duration::from_millis(1);
+    let config = EndpointConfig::named("cut").with_reconnect(reconnect);
+    let phone =
+        RemoteEndpoint::establish(Box::new(wire), Framework::new(), config).expect("handshake");
+    cut();
+    wait_until("the reconnect", Duration::from_secs(5), || {
+        phone.stats().reconnects == 1
+    });
+    assert_eq!(spawned.get(), before + 1);
+
+    phone.close();
+    device.stop();
+    wait_until(
+        "the reconnect thread to exit",
+        Duration::from_secs(5),
+        || threads_named("rosgi-").is_empty(),
     );
 }
