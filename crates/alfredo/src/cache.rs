@@ -21,8 +21,11 @@
 //!
 //! An entry is a shared `CachedTier`: beside the parts it keeps the
 //! [`ServiceDescriptor`] decoded and validated from them the first time an
-//! acquire needed it, so a warm walk-up neither copies the parts nor
-//! parses the descriptor again.
+//! acquire needed it, and the view rendered from that descriptor (the
+//! [`RenderedUi`] and the initial [`UiState`]) for the
+//! [`DeviceCapabilities`] it was rendered for. A warm walk-up neither
+//! copies the parts, nor parses the descriptor, nor renders it again: it
+//! shares the descriptor and the rendered UI and clones the state.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -31,6 +34,8 @@ use alfredo_obs::{Counter, Gauge, Obs};
 use alfredo_osgi::Value;
 use alfredo_rosgi::{FetchedService, RemoteEndpoint, RosgiError, ServiceParts, PROP_TIER_DIGEST};
 use alfredo_sync::Mutex;
+use alfredo_ui::render::{select_renderer, RenderedUi};
+use alfredo_ui::{DeviceCapabilities, UiError, UiState};
 
 use crate::descriptor::{DescriptorError, ServiceDescriptor};
 
@@ -54,10 +59,23 @@ pub struct TierCacheStats {
 }
 
 /// One tier as the cache hands it out: the shipped parts and, once an
-/// acquire has asked for it, the descriptor decoded from them.
+/// acquire has asked for them, the descriptor decoded from them and the
+/// view rendered from that.
 pub(crate) struct CachedTier {
     parts: ServiceParts,
     descriptor: OnceLock<Arc<ServiceDescriptor>>,
+    /// The last view rendered, for the capabilities it was rendered for.
+    view: Mutex<Option<Arc<TierView>>>,
+}
+
+/// A tier's descriptor rendered for one device.
+pub(crate) struct TierView {
+    capabilities: DeviceCapabilities,
+    /// The name of the renderer that produced it.
+    pub(crate) renderer: &'static str,
+    pub(crate) rendered: Arc<RenderedUi>,
+    /// The initial UI state; each session gets its own copy.
+    pub(crate) state: UiState,
 }
 
 impl CachedTier {
@@ -65,7 +83,32 @@ impl CachedTier {
         CachedTier {
             parts,
             descriptor: OnceLock::new(),
+            view: Mutex::new(None),
         }
+    }
+
+    /// This tier's `descriptor` rendered for `capabilities`: rendered on
+    /// the first call for those capabilities, shared by every later one.
+    /// A call for other capabilities renders anew and keeps that view.
+    pub(crate) fn view(
+        &self,
+        descriptor: &ServiceDescriptor,
+        capabilities: &DeviceCapabilities,
+    ) -> Result<Arc<TierView>, UiError> {
+        if let Some(view) = self.view.lock().as_ref() {
+            if view.capabilities == *capabilities {
+                return Ok(Arc::clone(view));
+            }
+        }
+        let renderer = select_renderer(capabilities);
+        let view = Arc::new(TierView {
+            capabilities: capabilities.clone(),
+            renderer: renderer.name(),
+            rendered: Arc::new(renderer.render(&descriptor.ui, capabilities)?),
+            state: UiState::from_description(&descriptor.ui),
+        });
+        *self.view.lock() = Some(Arc::clone(&view));
+        Ok(view)
     }
 
     /// The descriptor the parts ship (`None` if they ship none), decoded

@@ -28,8 +28,7 @@ use alfredo_rosgi::{
     RetryPolicy, RosgiError, ServeQueue, ServiceParts, ServiceUrl, SmartProxySpec,
     PROP_TIER_DIGEST,
 };
-use alfredo_ui::render::select_renderer;
-use alfredo_ui::{DeviceCapabilities, UiError, UiState};
+use alfredo_ui::{DeviceCapabilities, UiError};
 
 use crate::cache::{CachedTier, TierCache, DEFAULT_TIER_CACHE_BYTES};
 use crate::descriptor::{DescriptorError, ServiceDescriptor};
@@ -757,13 +756,13 @@ impl AlfredOConnection {
             span.set_with("components", || moved.to_string());
         }
 
-        // 4. View: render for this device.
+        // 4. View: rendered for this device once per tier digest; a warm
+        // acquire shares the rendered UI and copies the initial state.
         let (rendered, state) = {
             let mut span = obs.child_of(root_ctx, "render");
-            let renderer = select_renderer(&self.config.capabilities);
-            let rendered = renderer.render(&descriptor.ui, &self.config.capabilities)?;
-            span.set_with("renderer", || renderer.name().to_owned());
-            (rendered, UiState::from_description(&descriptor.ui))
+            let view = tier.view(&descriptor, &self.config.capabilities)?;
+            span.set_with("renderer", || view.renderer.to_owned());
+            (Arc::clone(&view.rendered), view.state.clone())
         };
 
         // 5. Controller: interpreted from the descriptor's rule program.

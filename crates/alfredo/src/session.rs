@@ -111,7 +111,8 @@ pub struct AlfredOSession {
     /// Shared with the tier-cache entry it was decoded from, if cached.
     descriptor: Arc<ServiceDescriptor>,
     assignment: Mutex<TierAssignment>,
-    rendered: RenderedUi,
+    /// Shared with the tier-cache entry it was rendered for, if cached.
+    rendered: Arc<RenderedUi>,
     capabilities: DeviceCapabilities,
     state: Mutex<UiState>,
     fetched_interfaces: Mutex<Vec<String>>,
@@ -192,7 +193,7 @@ impl AlfredOSession {
         endpoint: Arc<RemoteEndpoint>,
         descriptor: Arc<ServiceDescriptor>,
         assignment: TierAssignment,
-        rendered: RenderedUi,
+        rendered: Arc<RenderedUi>,
         capabilities: DeviceCapabilities,
         state: UiState,
         fetched_interfaces: Vec<String>,

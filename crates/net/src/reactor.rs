@@ -35,7 +35,9 @@
 //! Resource accounting is exported through the process-global metrics
 //! registry ([`alfredo_obs::global_metrics`]): `net.open_connections`,
 //! `net.io_threads`, and `net.timer_entries` gauges, surfaced by the web
-//! gateway's `GET /metrics` and by `EndpointStats`.
+//! gateway's `GET /metrics` and by `EndpointStats`, and the
+//! `net.tcp.write_calls` counter of `writev` calls (a batch of frames
+//! queued together, such as a handshake flight, usually costs one).
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -490,6 +492,59 @@ struct Outbox {
     closing: bool,
 }
 
+impl Outbox {
+    /// The one write routine of a connection, for a sender's inline write
+    /// and the poller's flush alike: writes the queue front first with
+    /// vectored writes (at most [`MAX_IOV`] slices each, held on the
+    /// stack) until it is empty (`Ok(true)`) or the socket would block
+    /// (`Ok(false)`). Counts every `writev` in `calls`.
+    fn write_to(&mut self, stream: &TcpStream, calls: &alfredo_obs::Counter) -> io::Result<bool> {
+        while !self.q.is_empty() {
+            let mut slices = [IoSlice::new(&[]); MAX_IOV];
+            let mut n = 0;
+            for (i, f) in self.q.iter().enumerate() {
+                if n + 2 > MAX_IOV {
+                    break;
+                }
+                let off = if i == 0 { self.front_off } else { 0 };
+                if off < 4 {
+                    slices[n] = IoSlice::new(&f.prefix[off..]);
+                    slices[n + 1] = IoSlice::new(&f.body);
+                    n += 2;
+                } else {
+                    slices[n] = IoSlice::new(&f.body[off - 4..]);
+                    n += 1;
+                }
+            }
+            calls.inc();
+            match (&mut &*stream).write_vectored(&slices[..n]) {
+                Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "write zero")),
+                Ok(written) => self.consume(written),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    /// Drops `n` written bytes off the front of the queue.
+    fn consume(&mut self, mut n: usize) {
+        self.bytes -= n;
+        while n > 0 {
+            let front_remaining = self.q[0].len() - self.front_off;
+            if n >= front_remaining {
+                n -= front_remaining;
+                self.q.pop_front();
+                self.front_off = 0;
+            } else {
+                self.front_off += n;
+                n = 0;
+            }
+        }
+    }
+}
+
 struct Inbox {
     q: VecDeque<Vec<u8>>,
     fin: bool,
@@ -555,10 +610,21 @@ impl Conn {
         &self.peer
     }
 
-    /// Queues one frame, writing directly to the socket when the outbox is
-    /// empty (the common case: no reactor round-trip at all). Blocks on the
-    /// outbox cap unless called from a reactor/timer thread.
+    /// Queues one frame: a batch of one.
     pub(crate) fn send(self: &Arc<Self>, frame: Vec<u8>) -> Result<(), TransportError> {
+        self.send_batch(std::iter::once(frame))
+    }
+
+    /// Queues `frames` back to back under one outbox lock, so no other
+    /// sender's frame lands between them, and writes them directly to the
+    /// socket when nothing is queued ahead of them (the common case: no
+    /// reactor round-trip at all), in as few vectored writes as the
+    /// socket takes. Blocks on the outbox cap unless called from a
+    /// reactor/timer thread.
+    pub(crate) fn send_batch(
+        self: &Arc<Self>,
+        frames: impl IntoIterator<Item = Vec<u8>>,
+    ) -> Result<(), TransportError> {
         if self.closed.load(Ordering::SeqCst) {
             return Err(TransportError::Closed);
         }
@@ -571,22 +637,24 @@ impl Conn {
         if out.closing || self.closed.load(Ordering::SeqCst) {
             return Err(TransportError::Closed);
         }
-        let prefix = (frame.len() as u32).to_le_bytes();
-        let total = 4 + frame.len();
-        if out.q.is_empty() && !out.epollout {
-            // Fast path: socket buffer likely has room; write inline under
-            // the outbox lock (ordering preserved — the lock serializes).
-            match write_now(&self.stream, &prefix, &frame) {
-                Ok(n) if n == total => return Ok(()),
-                Ok(n) => {
-                    out.q.push_back(OutFrame {
-                        prefix,
-                        body: frame,
-                    });
-                    out.front_off = n;
-                    out.bytes = total - n;
-                }
+        // Inline when nothing is queued and no writability wait is armed:
+        // the socket buffer likely has room, and the outbox lock keeps
+        // the write in order with every other sender's.
+        let inline = out.q.is_empty() && !out.epollout;
+        for body in frames {
+            out.bytes += 4 + body.len();
+            out.q.push_back(OutFrame {
+                prefix: (body.len() as u32).to_le_bytes(),
+                body,
+            });
+        }
+        if inline {
+            match out.write_to(&self.stream, &self.poller.write_calls) {
+                Ok(true) => return Ok(()),
+                Ok(false) => {}
                 Err(_) => {
+                    out.q.clear();
+                    out.bytes = 0;
                     drop(out);
                     self.record_reason(CloseReason::Io);
                     self.closed.store(true, Ordering::SeqCst);
@@ -594,12 +662,6 @@ impl Conn {
                     return Err(TransportError::Closed);
                 }
             }
-        } else {
-            out.q.push_back(OutFrame {
-                prefix,
-                body: frame,
-            });
-            out.bytes += total;
         }
         let need_kick = !out.epollout;
         drop(out);
@@ -721,31 +783,6 @@ impl Conn {
     }
 }
 
-/// Writes `prefix` + `body` starting from offset 0 until done or the
-/// socket would block; returns total bytes written.
-fn write_now(stream: &TcpStream, prefix: &[u8; 4], body: &[u8]) -> io::Result<usize> {
-    let mut off = 0usize;
-    let total = 4 + body.len();
-    loop {
-        let slices = [
-            IoSlice::new(&prefix[off.min(4)..]),
-            IoSlice::new(&body[off.saturating_sub(4)..]),
-        ];
-        match (&mut &*stream).write_vectored(&slices) {
-            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "write zero")),
-            Ok(n) => {
-                off += n;
-                if off >= total {
-                    return Ok(total);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(off),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Poller: one I/O thread.
 // ---------------------------------------------------------------------------
@@ -760,6 +797,8 @@ struct Poller {
     bell_rx: UnixStream,
     stop: Arc<AtomicBool>,
     open_gauge: alfredo_obs::Gauge,
+    /// `net.tcp.write_calls`: every `writev` on a connection's socket.
+    write_calls: alfredo_obs::Counter,
 }
 
 impl Poller {
@@ -778,6 +817,7 @@ impl Poller {
             bell_rx,
             stop,
             open_gauge: alfredo_obs::global_metrics().gauge("net.open_connections"),
+            write_calls: alfredo_obs::global_metrics().counter("net.tcp.write_calls"),
         })
     }
 
@@ -871,63 +911,26 @@ impl Poller {
         }
     }
 
-    /// Drains the outbox with vectored writes. Arms/disarms EPOLLOUT as
+    /// Drains the outbox ([`Outbox::write_to`]). Arms/disarms EPOLLOUT as
     /// needed and completes a pending graceful close once drained.
     fn flush(self: &Arc<Self>, conn: &Arc<Conn>) {
         let mut out = conn.out.lock();
-        loop {
-            if out.q.is_empty() {
-                break;
+        match out.write_to(&conn.stream, &self.write_calls) {
+            Ok(true) => {}
+            Ok(false) => {
+                if out.bytes < OUTBOX_CAP {
+                    conn.out_cv.notify_all();
+                }
+                if !out.epollout {
+                    out.epollout = true;
+                    self.selector.update(conn.fd(), conn.token, true);
+                }
+                return;
             }
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOV);
-            for (i, f) in out.q.iter().enumerate() {
-                if slices.len() + 2 > MAX_IOV {
-                    break;
-                }
-                let off = if i == 0 { out.front_off } else { 0 };
-                if off < 4 {
-                    slices.push(IoSlice::new(&f.prefix[off..]));
-                    slices.push(IoSlice::new(&f.body));
-                } else {
-                    slices.push(IoSlice::new(&f.body[off - 4..]));
-                }
-            }
-            match (&mut &conn.stream).write_vectored(&slices) {
-                Ok(0) => {
-                    drop(out);
-                    self.teardown(conn, CloseReason::Io);
-                    return;
-                }
-                Ok(mut n) => {
-                    out.bytes -= n;
-                    while n > 0 {
-                        let front_remaining = out.q[0].len() - out.front_off;
-                        if n >= front_remaining {
-                            n -= front_remaining;
-                            out.q.pop_front();
-                            out.front_off = 0;
-                        } else {
-                            out.front_off += n;
-                            n = 0;
-                        }
-                    }
-                    if out.bytes < OUTBOX_CAP {
-                        conn.out_cv.notify_all();
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if !out.epollout {
-                        out.epollout = true;
-                        self.selector.update(conn.fd(), conn.token, true);
-                    }
-                    return;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    drop(out);
-                    self.teardown(conn, CloseReason::Io);
-                    return;
-                }
+            Err(_) => {
+                drop(out);
+                self.teardown(conn, CloseReason::Io);
+                return;
             }
         }
         // Outbox drained.

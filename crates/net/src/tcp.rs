@@ -63,6 +63,10 @@ impl Transport for TcpTransport {
         self.conn.send(frame)
     }
 
+    fn send_batch(&self, frames: Vec<Vec<u8>>) -> Result<(), TransportError> {
+        self.conn.send_batch(frames)
+    }
+
     fn recv(&self) -> Result<Vec<u8>, TransportError> {
         self.conn.recv()
     }
@@ -166,7 +170,7 @@ impl TcpNetListener {
 mod tests {
     use super::*;
     use std::io::Write;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::mpsc;
 
     fn pair() -> (TcpTransport, TcpTransport) {
@@ -411,12 +415,7 @@ mod tests {
         // the read that completes the frame is a full one and the poller
         // must go back for what follows; the frames behind it and the EOF
         // come after short reads and must be reported again.
-        let backends = [
-            #[cfg(target_os = "linux")]
-            crate::reactor::Backend::Epoll,
-            crate::reactor::Backend::Poll,
-        ];
-        for backend in backends {
+        for &backend in BACKENDS {
             let reactor = Reactor::new(1, backend).unwrap();
             let (client, server) = pair_on(&reactor);
             let exact: Vec<u8> = (0..64 * 1024 - 4).map(|i| (i % 251) as u8).collect();
@@ -431,6 +430,102 @@ mod tests {
             assert_eq!(server.recv().unwrap(), exact, "{backend:?}");
             assert_eq!(server.recv().unwrap_err(), TransportError::Closed);
             assert_eq!(server.close_reason(), CloseReason::Peer);
+        }
+    }
+
+    const BACKENDS: &[crate::reactor::Backend] = &[
+        #[cfg(target_os = "linux")]
+        crate::reactor::Backend::Epoll,
+        crate::reactor::Backend::Poll,
+    ];
+
+    #[test]
+    fn batch_arrives_whole_and_in_order_among_single_sends() {
+        // Each batch is three 1 MiB frames: far more than a socket buffer
+        // takes, so it leaves in partial writes finished by the poller,
+        // while a second thread keeps racing single frames into the same
+        // outbox until the batches are out, then sends an end marker.
+        const ROUNDS: u8 = 4;
+        const MIB: usize = 1 << 20;
+        const SINGLE: u8 = 0x5A;
+        const END: u8 = 0xEE;
+        let batches: Vec<Vec<Vec<u8>>> = (0..ROUNDS)
+            .map(|round| {
+                (0..3u8)
+                    .map(|idx| {
+                        let mut body: Vec<u8> = (0..MIB).map(|i| (i % 251) as u8 ^ idx).collect();
+                        body[..3].copy_from_slice(&[0xB0, round, idx]);
+                        body
+                    })
+                    .collect()
+            })
+            .collect();
+        for &backend in BACKENDS {
+            let reactor = Reactor::new(1, backend).unwrap();
+            let (client, server) = pair_on(&reactor);
+            let client = Arc::new(client);
+            let batching = Arc::new(AtomicBool::new(true));
+            let singles = {
+                let (client, batching) = (Arc::clone(&client), Arc::clone(&batching));
+                std::thread::spawn(move || {
+                    let mut seq = 0u32;
+                    while batching.load(Ordering::SeqCst) {
+                        let mut frame = vec![SINGLE];
+                        frame.extend_from_slice(&seq.to_le_bytes());
+                        client.send(frame).unwrap();
+                        seq += 1;
+                    }
+                    client.send(vec![END]).unwrap();
+                })
+            };
+            let sender = {
+                let (client, batches) = (Arc::clone(&client), batches.clone());
+                std::thread::spawn(move || {
+                    for batch in batches {
+                        client.send_batch(batch).unwrap();
+                    }
+                    batching.store(false, Ordering::SeqCst);
+                })
+            };
+            let (mut round, mut next_single, mut ended) = (0usize, 0u32, false);
+            while !ended || round < batches.len() {
+                let frame = server.recv().unwrap();
+                match frame[0] {
+                    SINGLE => {
+                        assert_eq!(frame[1..], next_single.to_le_bytes(), "{backend:?}");
+                        next_single += 1;
+                    }
+                    END => ended = true,
+                    _ => {
+                        // The first frame of a batch: the other two follow
+                        // with nothing in between.
+                        assert!(frame == batches[round][0], "{backend:?} round {round}");
+                        for (idx, expected) in batches[round].iter().enumerate().skip(1) {
+                            assert!(
+                                server.recv().unwrap() == *expected,
+                                "{backend:?} round {round}: frame {idx} split off or reordered"
+                            );
+                        }
+                        round += 1;
+                    }
+                }
+            }
+            sender.join().unwrap();
+            singles.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn batch_after_close_is_refused() {
+        for &backend in BACKENDS {
+            let reactor = Reactor::new(1, backend).unwrap();
+            let (client, _server) = pair_on(&reactor);
+            client.close();
+            assert_eq!(
+                client.send_batch(vec![b"a".to_vec(), b"b".to_vec()]),
+                Err(TransportError::Closed),
+                "{backend:?}"
+            );
         }
     }
 

@@ -157,6 +157,19 @@ pub trait Transport: Send + Sync {
     /// Returns [`TransportError::Closed`] if the connection is closed.
     fn send(&self, frame: Vec<u8>) -> Result<(), TransportError>;
 
+    /// Sends `frames` in order, as one flight: a transport that can (TCP)
+    /// queues them back to back and writes them in one vectored write.
+    /// The default sends them one by one, so a wrapper that perturbs
+    /// frames (fault injection, taps) keeps doing so per frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransportError::Closed`] if the connection is closed;
+    /// frames before the failing one may have been sent.
+    fn send_batch(&self, frames: Vec<Vec<u8>>) -> Result<(), TransportError> {
+        frames.into_iter().try_for_each(|frame| self.send(frame))
+    }
+
     /// Receives the next frame, blocking until one arrives.
     ///
     /// # Errors

@@ -177,9 +177,24 @@ impl BundleArtifact {
         w.into_bytes()
     }
 
-    /// Size of the encoded artifact in bytes.
-    pub fn footprint(&self) -> usize {
-        self.encode().len()
+    /// The length of [`BundleArtifact::encode`]'s output — the artifact's
+    /// file footprint — computed without encoding.
+    pub fn encoded_len(&self) -> usize {
+        let sized = |len: usize| varint_len(len as u64) + len;
+        let manifest = &self.manifest;
+        let entries: usize = self
+            .entries
+            .iter()
+            .map(|e| match e {
+                ArtifactEntry::Activator { key } => 1 + sized(key.len()),
+                ArtifactEntry::Data { name, bytes } => 1 + sized(name.len()) + sized(bytes.len()),
+            })
+            .sum();
+        sized(manifest.symbolic_name.len())
+            + sized(manifest.version.len())
+            + sized(manifest.description.len())
+            + varint_len(self.entries.len() as u64)
+            + entries
     }
 
     /// Decodes an artifact from its wire form.
@@ -223,6 +238,11 @@ impl BundleArtifact {
         }
         Ok(BundleArtifact { manifest, entries })
     }
+}
+
+/// Bytes [`ByteWriter::put_varint`] spends on `v`: seven bits a byte.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 type ActivatorFactory = Arc<dyn Fn() -> Box<dyn BundleActivator> + Send + Sync>;
@@ -426,7 +446,30 @@ mod tests {
         let a = sample();
         let bytes = a.encode();
         assert_eq!(BundleArtifact::decode(&bytes).unwrap(), a);
-        assert_eq!(a.footprint(), bytes.len());
+    }
+
+    #[test]
+    fn encoded_len_matches_the_encoding() {
+        let empty = BundleArtifact::new(Manifest::new("", "", ""));
+        let data_only = BundleArtifact::new(Manifest::new("d", "1", "data"))
+            .with_data("x", vec![])
+            .with_data("y".repeat(127), vec![3; 128]);
+        // A proxy bundle's shape: interface plus a shipped descriptor, at
+        // sizes either side of the one- and two-byte varint boundaries.
+        let carrying = |len: usize| {
+            BundleArtifact::new(Manifest::new(
+                "rosgi.proxy.demo.Svc",
+                "1.0",
+                "generated proxy for demo.Svc".repeat(5),
+            ))
+            .with_data("interface.bin", vec![1; 300])
+            .with_data("descriptor.bin", vec![7; len])
+        };
+        let mut artifacts = vec![empty, data_only, sample()];
+        artifacts.extend([0, 127, 128, 2_600, 16_383, 16_384, 200_000].map(carrying));
+        for a in artifacts {
+            assert_eq!(a.encoded_len(), a.encode().len(), "{:?}", a.manifest);
+        }
     }
 
     #[test]

@@ -918,7 +918,8 @@ impl RemoteEndpoint {
         };
 
         // Build the proxy bundle artifact (its encoded size is the proxy's
-        // file footprint, §4.1).
+        // file footprint, §4.1), then move its data entries into the
+        // installed bundle.
         let mut artifact = BundleArtifact::new(Manifest::new(
             format!("rosgi.proxy.{interface}"),
             "1.0",
@@ -928,7 +929,7 @@ impl RemoteEndpoint {
         if let Some(d) = &descriptor {
             artifact = artifact.with_data("descriptor.bin", d.clone());
         }
-        let proxy_footprint = artifact.footprint();
+        let proxy_footprint = artifact.encoded_len();
 
         // Install + start.
         let peer = inner.remote_peer.lock().clone();
@@ -937,19 +938,17 @@ impl RemoteEndpoint {
             service: proxy,
             peer,
         });
-        let entries = artifact
-            .entries
-            .iter()
+        let BundleArtifact { manifest, entries } = artifact;
+        let entries = entries
+            .into_iter()
             .filter_map(|e| match e {
-                alfredo_osgi::ArtifactEntry::Data { name, bytes } => {
-                    Some((name.clone(), bytes.clone()))
-                }
+                alfredo_osgi::ArtifactEntry::Data { name, bytes } => Some((name, bytes)),
                 alfredo_osgi::ArtifactEntry::Activator { .. } => None,
             })
             .collect();
         let bundle = inner.framework.install_with_entries(
-            artifact.manifest.symbolic_name.clone(),
-            artifact.manifest.version.clone(),
+            manifest.symbolic_name,
+            manifest.version,
             activator,
             entries,
         );
@@ -1340,25 +1339,24 @@ impl Inner {
     }
 
     fn send(&self, msg: &Message) -> Result<(), RosgiError> {
-        self.send_on(&self.wire(), msg)
+        self.send_frame(self.encode(msg))
     }
 
-    /// Encodes `msg` into a pooled buffer and sends it over an explicit
-    /// transport (the handshake flight goes out before its wire is the
-    /// endpoint's).
-    fn send_on(&self, wire: &Arc<dyn Transport>, msg: &Message) -> Result<(), RosgiError> {
+    /// Encodes `msg` into a pooled buffer.
+    fn encode(&self, msg: &Message) -> Vec<u8> {
         let mut w = ByteWriter::with_pool(&self.pool);
         msg.encode_into(&mut w);
-        let frame = w.into_bytes();
+        w.into_bytes()
+    }
+
+    /// Counts one outgoing frame in `frames_sent`/`bytes_sent`.
+    fn count_sent(&self, frame: &[u8]) {
         self.counters.frames_sent.inc();
         self.counters.bytes_sent.add(frame.len() as u64);
-        wire.send(frame)?;
-        Ok(())
     }
 
     fn send_frame(&self, frame: Vec<u8>) -> Result<(), RosgiError> {
-        self.counters.frames_sent.inc();
-        self.counters.bytes_sent.add(frame.len() as u64);
+        self.count_sent(&frame);
         self.wire().send(frame)?;
         Ok(())
     }
@@ -2294,8 +2292,9 @@ fn open(
 }
 
 /// Sends our half of the handshake on `wire` — `Hello`, then full `Lease`
-/// and `EventInterest` snapshots — and installs the sink that reads the
-/// peer's half. The flight goes out under `lease_order`, and `wire`
+/// and `EventInterest` snapshots, as one [`Transport::send_batch`] (one
+/// write over TCP) — and installs the sink that reads the peer's half.
+/// The flight goes out under `lease_order`, and `wire`
 /// becomes the endpoint's wire in the same step: no `LeaseUpdate` or
 /// `EventInterest` can overtake the snapshots, and no other frame can
 /// precede `Hello`. The one handshake path of `establish`, `start` and
@@ -2309,7 +2308,7 @@ fn handshake_on(inner: &Arc<Inner>, wire: Arc<dyn Transport>, then: Then, span: 
     };
     let sent = {
         let mut announced = inner.lease_order.lock();
-        let flight = [
+        let flight: Vec<Vec<u8>> = [
             Message::Hello {
                 peer: inner.config.peer_name.clone(),
                 version: PROTOCOL_VERSION,
@@ -2320,8 +2319,12 @@ fn handshake_on(inner: &Arc<Inner>, wire: Arc<dyn Transport>, then: Then, span: 
             Message::EventInterest {
                 patterns: inner.framework.event_admin().patterns(),
             },
-        ];
-        let sent = flight.iter().try_for_each(|msg| inner.send_on(&wire, msg));
+        ]
+        .iter()
+        .map(|msg| inner.encode(msg))
+        .collect();
+        flight.iter().for_each(|frame| inner.count_sent(frame));
+        let sent = wire.send_batch(flight);
         if sent.is_ok() {
             *inner.transport.write() = Arc::clone(&wire);
             *announced = true;
@@ -2330,7 +2333,7 @@ fn handshake_on(inner: &Arc<Inner>, wire: Arc<dyn Transport>, then: Then, span: 
     };
     if let Err(e) = sent {
         wire.close();
-        handshake.fail(e);
+        handshake.fail(e.into());
         return;
     }
     // Outside `lease_order`: a TCP transport delivers the frames that

@@ -6,8 +6,7 @@
 //! no per-connection reader threads exist anywhere in these tests.
 
 use std::io::{Read, Write};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, PoisonError, RwLock};
 use std::time::Duration;
 
 use alfredo_apps::{register_shop, sample_catalog, SHOP_INTERFACE};
@@ -19,8 +18,14 @@ use alfredo_rosgi::{
 };
 use alfredo_ui::{DeviceCapabilities, UiEvent};
 
+/// Every test here writes to sockets; the one that counts the process's
+/// socket writes runs alone (write lock), the rest side by side (read
+/// lock).
+static WIRE: RwLock<()> = RwLock::new(());
+
 #[test]
 fn shop_session_over_real_tcp() {
+    let _wire = WIRE.read().unwrap_or_else(PoisonError::into_inner);
     // --- device: the engine's TCP host (accept loop + reactor sinks) ----
     let device_fw = Framework::new();
     register_shop(&device_fw, sample_catalog()).unwrap();
@@ -85,6 +90,7 @@ fn shop_session_over_real_tcp() {
 
 #[test]
 fn raw_endpoint_over_tcp_with_events() {
+    let _wire = WIRE.read().unwrap_or_else(PoisonError::into_inner);
     use alfredo_osgi::{Event, Properties};
 
     let device_fw = Framework::new();
@@ -132,6 +138,7 @@ fn raw_endpoint_over_tcp_with_events() {
 /// arbitrary fragmentation.
 #[test]
 fn one_byte_dribble_reassembles_frames() {
+    let _wire = WIRE.read().unwrap_or_else(PoisonError::into_inner);
     let listener = TcpNetListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
     let server = std::thread::spawn(move || {
@@ -162,6 +169,7 @@ fn one_byte_dribble_reassembles_frames() {
 /// everything drains once the reader catches up.
 #[test]
 fn slow_reader_write_backpressure_drains() {
+    let _wire = WIRE.read().unwrap_or_else(PoisonError::into_inner);
     const FRAMES: usize = 48;
     const SIZE: usize = 128 * 1024; // 6 MiB total, far over the outbox cap
 
@@ -202,6 +210,7 @@ fn slow_reader_write_backpressure_drains() {
 /// reactor.
 #[test]
 fn faulty_tcp_endpoint_reconnects_with_wheel_heartbeat() {
+    let _wire = WIRE.read().unwrap_or_else(PoisonError::into_inner);
     use alfredo_net::{FaultPlan, FaultyTransport, Transport, TransportError};
     use alfredo_rosgi::{HealthState, HeartbeatConfig, ReconnectConfig, ReconnectFn};
 
@@ -275,6 +284,7 @@ fn faulty_tcp_endpoint_reconnects_with_wheel_heartbeat() {
 /// reopened on the same journal directory has the room as it was left.
 #[test]
 fn tcp_device_hosts_a_journaled_room() {
+    let _wire = WIRE.read().unwrap_or_else(PoisonError::into_inner);
     use alfredo_core::{
         presence_key, register_room_hub, room_clock_ms, room_update_topic, DeviceJournal,
         DeviceJournalConfig, RoomConfig, RoomHub, RoomOp, RoomReplica, RoomUpdate, ROOMS_INTERFACE,
@@ -412,6 +422,7 @@ fn tcp_device_hosts_a_journaled_room() {
 /// count none.
 #[test]
 fn room_join_right_after_establish_needs_no_retry() {
+    let _wire = WIRE.read().unwrap_or_else(PoisonError::into_inner);
     use alfredo_core::{register_room_hub, RoomConfig, RoomHub, ROOMS_INTERFACE};
     use alfredo_osgi::Value;
     use alfredo_rosgi::{HeartbeatConfig, RetryPolicy};
@@ -446,4 +457,35 @@ fn room_join_right_after_establish_needs_no_retry() {
         phone.close();
     }
     device.stop();
+}
+
+/// Each side's handshake flight (`Hello`, `Lease`, `EventInterest`) is
+/// three frames and leaves in one vectored write: an establish over TCP
+/// costs two socket writes in all, one per side.
+#[test]
+fn establish_sends_each_flight_in_one_write() {
+    let _alone = WIRE.write().unwrap_or_else(PoisonError::into_inner);
+    let writes = alfredo_obs::global_metrics().counter("net.tcp.write_calls");
+    for round in 0..20 {
+        let listener = TcpNetListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr();
+        let (device_tx, device_rx) = mpsc::channel();
+        let before = writes.get();
+        let device = std::thread::spawn(move || {
+            let wire = listener.accept().unwrap();
+            let config = EndpointConfig::named("flight-dev");
+            let device = RemoteEndpoint::establish(Box::new(wire), Framework::new(), config);
+            device_tx.send(device.unwrap()).unwrap();
+        });
+        let wire = TcpTransport::connect(addr).unwrap();
+        let config = EndpointConfig::named("flight-phone");
+        let phone = RemoteEndpoint::establish(Box::new(wire), Framework::new(), config).unwrap();
+        let device_ep = device_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        device.join().unwrap();
+        assert_eq!(writes.get() - before, 2, "round {round}");
+        assert_eq!(phone.stats().frames_sent, 3, "round {round}");
+        assert_eq!(device_ep.stats().frames_sent, 3, "round {round}");
+        phone.close();
+        device_ep.close();
+    }
 }

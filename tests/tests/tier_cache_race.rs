@@ -293,3 +293,139 @@ fn warm_acquire_shares_the_decoded_descriptor() {
     }
     device.stop();
 }
+
+/// Render once per tier digest and device: warm acquires share the first
+/// acquire's rendered UI (one allocation) but each session gets its own
+/// copy of the initial UI state, and a re-hosted descriptor (new digest)
+/// is rendered anew.
+#[test]
+fn warm_acquire_shares_the_rendered_view_not_the_state() {
+    use alfredo_ui::UiEvent;
+
+    let net = InMemoryNetwork::new();
+    let fw = Framework::new();
+    let reg = host_marked(&fw, "view.S", "first").unwrap();
+    let device = Device::new(fw.clone())
+        .serve(&net, PeerAddr::new("tc-dev4"))
+        .unwrap();
+    let engine = phone(&net, "viewer", 1 << 20);
+    let addr = PeerAddr::new("tc-dev4");
+    let acquire = || {
+        let conn = engine.connect(&addr).unwrap();
+        let session = conn.acquire("view.S").unwrap();
+        (session, conn)
+    };
+    let marker = |session: &alfredo_core::AlfredOSession| {
+        session.with_state(|s| s.text("marker").map(str::to_owned))
+    };
+
+    let (cold, cold_conn) = acquire();
+    assert_eq!(marker(&cold).as_deref(), Some("first"));
+    cold.handle_event(&UiEvent::TextChanged {
+        control: "marker".into(),
+        text: "edited".into(),
+    })
+    .unwrap();
+    assert_eq!(marker(&cold).as_deref(), Some("edited"));
+
+    let (warm, warm_conn) = acquire();
+    let (warmer, warmer_conn) = acquire();
+    assert_eq!(warm.transferred_bytes(), 0, "second acquire is warm");
+    assert!(
+        std::ptr::eq(warm.rendered(), warmer.rendered())
+            && std::ptr::eq(cold.rendered(), warm.rendered()),
+        "warm acquires must share the first acquire's rendered UI"
+    );
+    assert_eq!(
+        marker(&warm).as_deref(),
+        Some("first"),
+        "one session's state edit leaked into the next session"
+    );
+
+    reg.unregister().unwrap();
+    let _reg = host_marked(&fw, "view.S", "second").unwrap();
+    let (rehosted, rehosted_conn) = acquire();
+    assert!(rehosted.transferred_bytes() > 0, "a new digest misses");
+    assert!(!std::ptr::eq(cold.rendered(), rehosted.rendered()));
+    assert!(rehosted.rendered().as_text().contains("second"));
+    assert!(!rehosted.rendered().as_text().contains("first"));
+    assert_eq!(marker(&rehosted).as_deref(), Some("second"));
+
+    for (session, conn) in [
+        (cold, cold_conn),
+        (warm, warm_conn),
+        (warmer, warmer_conn),
+        (rehosted, rehosted_conn),
+    ] {
+        session.close();
+        conn.close();
+    }
+    device.stop();
+}
+
+/// A handshake flight leaves as one batch, but a fault-injecting wire
+/// still perturbs it frame by frame: a plan that drops exactly the third
+/// frame sent drops the flight's `EventInterest` and nothing else, and
+/// the handshake (which needs only `Hello` and `Lease`) completes.
+#[test]
+fn faulty_wire_drops_one_frame_of_a_handshake_flight() {
+    use alfredo_net::{FaultPlan, FaultyTransport, Transport};
+    use alfredo_rosgi::{EndpointConfig, RemoteEndpoint};
+    use std::time::Duration;
+
+    let net = InMemoryNetwork::new();
+    // The plan is seeded, so which frames it drops is fixed: probe seeds
+    // until one drops the third of four frames sent, and only that one.
+    let probe_listener = net.bind(PeerAddr::new("probe-dev")).unwrap();
+    let plan = (0..1000)
+        .map(|seed| FaultPlan::seeded(seed).with_send_drop(0.5))
+        .find(|plan| {
+            let wire = net
+                .connect(PeerAddr::new("probe"), PeerAddr::new("probe-dev"))
+                .unwrap();
+            let far = probe_listener.accept().unwrap();
+            let faulty = FaultyTransport::new(Box::new(wire), plan.clone());
+            for frame in 0..4u8 {
+                faulty.send(vec![frame]).unwrap();
+            }
+            faulty.close();
+            let mut delivered = Vec::new();
+            while let Ok(frame) = far.recv() {
+                delivered.extend(frame);
+            }
+            delivered == [0, 1, 3]
+        })
+        .expect("some seed drops exactly the third frame");
+
+    let listener = net.bind(PeerAddr::new("flight-dev")).unwrap();
+    let device = std::thread::spawn(move || {
+        let wire = listener.accept().unwrap();
+        RemoteEndpoint::establish(
+            Box::new(wire),
+            Framework::new(),
+            EndpointConfig::named("flight-dev"),
+        )
+        .unwrap()
+    });
+    let wire = net
+        .connect(PeerAddr::new("flight-phone"), PeerAddr::new("flight-dev"))
+        .unwrap();
+    let phone = RemoteEndpoint::establish(
+        Box::new(FaultyTransport::new(Box::new(wire), plan)),
+        Framework::new(),
+        EndpointConfig::named("flight-phone"),
+    )
+    .expect("Hello and Lease arrived");
+    let device = device.join().unwrap();
+    // The fourth frame, a ping, is delivered; once it is answered the
+    // device has read everything the phone sent before it.
+    phone.ping(Duration::from_secs(5)).unwrap();
+    assert_eq!(phone.stats().frames_sent, 4);
+    assert_eq!(
+        device.stats().frames_received,
+        3,
+        "the device reads Hello, Lease and the ping; the EventInterest was dropped"
+    );
+    phone.close();
+    device.close();
+}
