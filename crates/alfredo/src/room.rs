@@ -19,19 +19,23 @@
 //!   (stream `"room"`) *inside* the same critical section, so journal
 //!   order equals seq order and a crashed device recovers the log exactly
 //!   (see [`crate::DeviceJournal::register_room`]).
-//! * **Backpressured broadcast.** Fan-out rides the existing
-//!   [`ServeQueue`]: each member has one single-flight drain job,
-//!   submitted under the member's peer name so room traffic shares the
-//!   member's fairness lane with its RPCs. A publish costs one of each
-//!   thing however many members listen: one [`SharedUpdate`] that every
-//!   backlog holds by `Arc`, one [`ServeQueue::submit_batch`] transaction
-//!   for all drain jobs, and one wire encoding that every TCP member's
-//!   [`EndpointRoomSink`] sends a copy of. A slow or `Busy` member's
-//!   backlog is **coalesced** into one state-at-seq [`RoomUpdate::Snapshot`]
-//!   instead of growing without bound, while healthy members receive
-//!   every delta in order. A member that applied a snapshot at seq `S`
-//!   plus the deltas `> S` reconstructs byte-identical state to a member
-//!   that saw every delta — the invariant the room test battery proves.
+//! * **Backpressured broadcast.** A member whose sink can take an update
+//!   without blocking ([`RoomSink::try_deliver_shared`]: a TCP phone
+//!   whose outbox has room) is delivered on the publisher's own thread,
+//!   the other members first and the publisher's echo last. The rest
+//!   ride the existing [`ServeQueue`]: each member has one single-flight
+//!   drain job, submitted under the member's peer name so room traffic
+//!   shares the member's fairness lane with its RPCs. A publish costs one
+//!   of each thing however many members listen: one [`SharedUpdate`] that
+//!   every backlog holds by `Arc`, one [`ServeQueue::submit_batch`]
+//!   transaction for all queued drain jobs, and one wire encoding that
+//!   every TCP member's [`EndpointRoomSink`] sends a copy of. A slow or
+//!   `Busy` member's backlog is **coalesced** into one state-at-seq
+//!   [`RoomUpdate::Snapshot`] instead of growing without bound, while
+//!   healthy members receive every delta in order. A member that applied
+//!   a snapshot at seq `S` plus the deltas `> S` reconstructs
+//!   byte-identical state to a member that saw every delta — the
+//!   invariant the room test battery proves.
 //!
 //! Phone side, a [`RoomReplica`] subscribes to the room's update topic on
 //! the local EventAdmin (R-OSGi forwards the device's per-member
@@ -263,6 +267,16 @@ pub trait RoomSink: Send + Sync {
     fn deliver_shared(&self, room: &Room, update: &SharedUpdate) -> bool {
         self.deliver(room.name(), update.update())
     }
+
+    /// Delivers one update as [`RoomSink::deliver_shared`] does, but only
+    /// if that cannot block: `Some(true)` delivered, `Some(false)` the
+    /// wire is gone, `None` not delivered because it would have to wait —
+    /// or the sink cannot promise it would not. A queued room's publisher
+    /// calls this on its own thread before it hands the member to the
+    /// [`ServeQueue`]; the default `None` means "queue me".
+    fn try_deliver_shared(&self, _room: &Room, _update: &SharedUpdate) -> Option<bool> {
+        None
+    }
 }
 
 /// A [`RoomSink`] that applies updates straight into a [`RoomReplica`] —
@@ -290,6 +304,16 @@ impl RoomSink for EndpointRoomSink {
 
     fn deliver_shared(&self, room: &Room, update: &SharedUpdate) -> bool {
         self.0.send_event_frame(room.wire_frame(update)).is_ok()
+    }
+
+    /// The cached frame, if the wire takes it without blocking
+    /// ([`RemoteEndpoint::try_send_event_frame`]).
+    fn try_deliver_shared(&self, room: &Room, update: &SharedUpdate) -> Option<bool> {
+        match self.0.try_send_event_frame(room.wire_frame(update)) {
+            Ok(true) => Some(true),
+            Ok(false) => None,
+            Err(_) => Some(false),
+        }
     }
 }
 
@@ -453,6 +477,9 @@ pub struct Room {
     sink_failures: AtomicU64,
     busy_kicks: AtomicU64,
     wire_encodings: AtomicU64,
+    /// `room.delivered_inline` on [`alfredo_obs::global_metrics`]: updates
+    /// a queued room's publisher delivered on its own thread.
+    delivered_inline: alfredo_obs::Counter,
 }
 
 impl Room {
@@ -506,6 +533,7 @@ impl Room {
             sink_failures: AtomicU64::new(0),
             busy_kicks: AtomicU64::new(0),
             wire_encodings: AtomicU64::new(0),
+            delivered_inline: alfredo_obs::global_metrics().counter("room.delivered_inline"),
         })
     }
 
@@ -628,7 +656,7 @@ impl Room {
             self.notify_mutation();
         }
         self.joins.fetch_add(1, Ordering::Relaxed);
-        self.kick(kicks);
+        self.kick(kicks, Some(member));
         seq
     }
 
@@ -684,7 +712,7 @@ impl Room {
             }
             retries
         };
-        self.kick(retries);
+        self.kick(retries, None);
         expired.len()
     }
 
@@ -735,7 +763,7 @@ impl Room {
             self.apply_delta_locked(&mut inner, member, key, RoomOp::Put(next), &mut kicks)
         };
         self.notify_mutation();
-        self.kick(kicks);
+        self.kick(kicks, Some(member));
         Ok(seq)
     }
 
@@ -749,7 +777,7 @@ impl Room {
             self.apply_delta_locked(&mut inner, member, key, op, &mut kicks)
         };
         self.notify_mutation();
-        self.kick(kicks);
+        self.kick(kicks, Some(member));
         Ok(seq)
     }
 
@@ -769,7 +797,7 @@ impl Room {
             )
         };
         self.notify_mutation();
-        self.kick(kicks);
+        self.kick(kicks, None);
         Some(seq)
     }
 
@@ -867,19 +895,30 @@ impl Room {
         });
     }
 
-    /// Schedules one drain job per kicked member: all of them in one
-    /// [`ServeQueue::submit_batch`] transaction, each under its member's
-    /// peer name, when the room has a queue; inline otherwise. A `Busy`
-    /// rejection coalesces the member's backlog into a snapshot (one,
-    /// shared by every member the batch bounced) and defers the kick to
-    /// the next publish or tick.
-    fn kick(self: &Arc<Self>, members: Vec<Arc<str>>) {
+    /// Delivers to the kicked members. Without a queue, each member's
+    /// backlog is drained right here. With one, each member's drain first
+    /// runs here in non-blocking mode ([`RoomSink::try_deliver_shared`]):
+    /// a member whose sink takes its whole backlog without blocking is
+    /// done before the publisher returns, with no serve-queue hop. The
+    /// other members go first and `actor`'s own echo last, so the
+    /// publisher's wire never delays the other phones. The members whose
+    /// sink answered `None` stay in flight and get one drain job each: all
+    /// of them in one [`ServeQueue::submit_batch`] transaction, each under
+    /// its member's peer name. A `Busy` rejection coalesces the member's
+    /// backlog into a snapshot (one, shared by every member the batch
+    /// bounced) and defers the kick to the next publish or tick.
+    fn kick(self: &Arc<Self>, mut members: Vec<Arc<str>>, actor: Option<&str>) {
         let Some(queue) = &self.queue else {
             for member in &members {
-                self.drain(member);
+                self.drain(member, false);
             }
             return;
         };
+        if let Some(i) = actor.and_then(|actor| members.iter().position(|m| &**m == actor)) {
+            let echo = members.remove(i);
+            members.push(echo);
+        }
+        members.retain(|member| !self.drain(member, true));
         if members.is_empty() {
             return;
         }
@@ -887,7 +926,9 @@ impl Room {
             .iter()
             .map(|member| {
                 let (room, name) = (Arc::clone(self), Arc::clone(member));
-                let job: ServeJob = Box::new(move || room.drain(&name));
+                let job: ServeJob = Box::new(move || {
+                    room.drain(&name, false);
+                });
                 (Arc::clone(member), job)
             })
             .collect();
@@ -919,28 +960,56 @@ impl Room {
 
     /// Delivers a member's backlog in order. Single-flight per member
     /// (guarded by `in_flight`), so updates can never interleave; runs on
-    /// a serve worker (or the publisher's thread in inline mode) with the
-    /// room lock released around each sink call.
-    fn drain(self: &Arc<Self>, member: &str) {
+    /// a serve worker or the publisher's thread, with the room lock
+    /// released around each sink call.
+    ///
+    /// `nonblocking` delivers through [`RoomSink::try_deliver_shared`]
+    /// and stops at the first update the sink cannot take without
+    /// blocking: the update goes back to the front of the backlog and the
+    /// member stays in flight, and the drain returns `false` — the member
+    /// still needs a queued drain. Otherwise it returns `true`: the
+    /// backlog is empty, or the member or its sink is gone.
+    fn drain(self: &Arc<Self>, member: &str, nonblocking: bool) -> bool {
         loop {
             let (update, sink) = {
                 let mut inner = self.inner.lock();
                 let Some(m) = inner.members.get_mut(member) else {
-                    return; // evicted mid-drain
+                    return true; // evicted mid-drain
                 };
                 let Some(update) = m.pending.pop_front() else {
                     m.in_flight = false;
-                    return;
+                    return true;
                 };
                 let Some(sink) = m.sink.clone() else {
                     // Sink dropped mid-drain (rejoin pending); discard.
                     m.pending.clear();
                     m.in_flight = false;
-                    return;
+                    return true;
                 };
                 (update, sink)
             };
-            if sink.deliver_shared(self, &update) {
+            let ok = if nonblocking {
+                let Some(ok) = sink.try_deliver_shared(self, &update) else {
+                    let mut inner = self.inner.lock();
+                    if let Some(m) = inner.members.get_mut(member) {
+                        // Back in front of whatever was queued meanwhile:
+                        // deltas in seq order, or a coalesced snapshot,
+                        // which then follows it. A rejoin's new sink starts
+                        // from its own snapshot and is owed nothing older.
+                        if m.sink.as_ref().is_some_and(|s| Arc::ptr_eq(s, &sink)) {
+                            m.pending.push_front(update);
+                        }
+                    }
+                    return false;
+                };
+                if ok {
+                    self.delivered_inline.inc();
+                }
+                ok
+            } else {
+                sink.deliver_shared(self, &update)
+            };
+            if ok {
                 self.delivered.fetch_add(1, Ordering::Relaxed);
             } else {
                 self.sink_failures.fetch_add(1, Ordering::Relaxed);
@@ -953,7 +1022,7 @@ impl Room {
                     m.pending.clear();
                     m.in_flight = false;
                 }
-                return;
+                return true;
             }
         }
     }
@@ -1661,7 +1730,7 @@ mod tests {
             let mut inner = room.inner.lock();
             inner.members.get_mut("slow").unwrap().in_flight = false;
         }
-        room.drain("slow");
+        room.drain("slow", false);
         assert_eq!(slow.replica.state_json(), room.state_json());
         assert_eq!(slow.replica.gaps(), 0);
     }
@@ -1721,7 +1790,7 @@ mod tests {
         }
         for i in 0..plugged.len() {
             pin(&format!("plugged{i}"), false);
-            room.drain(&format!("plugged{i}"));
+            room.drain(&format!("plugged{i}"), false);
         }
         let expected = room.state_json();
         for sink in fast.iter().chain(&plugged) {
@@ -1739,6 +1808,343 @@ mod tests {
             assert_eq!(sink.replica.deltas_applied(), 3 + u64::from(i == 0));
         }
         assert_eq!(room.stats().wire_encodings, 0, "nobody is on a wire");
+    }
+
+    /// One delivery an [`InlineSink`] saw.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Delivery {
+        /// The update's seq (a snapshot's `seq`).
+        seq: u64,
+        snapshot: bool,
+        /// Through `try_deliver_shared` (the publisher's thread).
+        inline: bool,
+        thread: std::thread::ThreadId,
+    }
+
+    /// A sink that takes updates inline while `accept` says so and
+    /// answers `None` otherwise; queued drains reach it through `deliver`.
+    /// Every delivery is logged, and its member name is appended to
+    /// `order`, which the sinks of one test share.
+    struct InlineSink {
+        name: String,
+        replica: Arc<RoomReplica>,
+        log: Mutex<Vec<Delivery>>,
+        order: Arc<Mutex<Vec<String>>>,
+        accept: Box<dyn Fn() -> bool + Send + Sync>,
+    }
+
+    impl InlineSink {
+        fn new(
+            name: &str,
+            order: &Arc<Mutex<Vec<String>>>,
+            accept: impl Fn() -> bool + Send + Sync + 'static,
+        ) -> Arc<InlineSink> {
+            Arc::new(InlineSink {
+                name: name.to_owned(),
+                replica: RoomReplica::new("r"),
+                log: Mutex::new(Vec::new()),
+                order: Arc::clone(order),
+                accept: Box::new(accept),
+            })
+        }
+
+        fn record(&self, update: &RoomUpdate, inline: bool) {
+            let (seq, snapshot) = match update {
+                RoomUpdate::Delta(d) => (d.seq, false),
+                RoomUpdate::Snapshot { seq, .. } => (*seq, true),
+            };
+            self.replica.apply(update);
+            self.log.lock().push(Delivery {
+                seq,
+                snapshot,
+                inline,
+                thread: std::thread::current().id(),
+            });
+            self.order.lock().push(self.name.clone());
+        }
+
+        /// The seqs of the deltas delivered, in order.
+        fn delta_seqs(&self) -> Vec<u64> {
+            let log = self.log.lock();
+            log.iter().filter(|d| !d.snapshot).map(|d| d.seq).collect()
+        }
+    }
+
+    impl RoomSink for InlineSink {
+        fn deliver(&self, _room: &str, update: &RoomUpdate) -> bool {
+            self.record(update, false);
+            true
+        }
+
+        fn try_deliver_shared(&self, _room: &Room, update: &SharedUpdate) -> Option<bool> {
+            if !(self.accept)() {
+                return None;
+            }
+            self.record(update.update(), true);
+            Some(true)
+        }
+    }
+
+    fn queued_room(config: RoomConfig) -> (Arc<Room>, ServeQueue) {
+        let queue = ServeQueue::new(alfredo_rosgi::ServeQueueConfig::workers(1));
+        (Room::with_queue(config, queue.clone()), queue)
+    }
+
+    /// Waits until every drain job the queue took has run to its end.
+    fn settle(queue: &ServeQueue) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let stats = queue.stats();
+            if stats.served == stats.submitted {
+                return;
+            }
+            assert!(Instant::now() < deadline, "queue never settled: {stats:?}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn inline_sinks_are_delivered_on_the_publishers_thread_before_publish_returns() {
+        let (room, queue) = queued_room(RoomConfig::new("r"));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let a = InlineSink::new("a", &order, || true);
+        let b = InlineSink::new("b", &order, || true);
+        room.join("a", a.clone(), 0);
+        room.join("b", b.clone(), 0);
+        let me = std::thread::current().id();
+        for i in 0..20 {
+            let seq = room
+                .publish(["a", "b"][i % 2], "k", Value::I64(i as i64))
+                .unwrap();
+            // No waiting: both replicas are there as `publish` returns.
+            assert_eq!((a.replica.last_seq(), b.replica.last_seq()), (seq, seq));
+        }
+        for sink in [&a, &b] {
+            let log = sink.log.lock();
+            assert!(log.iter().all(|d| d.inline && d.thread == me), "{log:?}");
+            assert_eq!(sink.replica.state_json(), room.state_json());
+        }
+        assert_eq!(queue.stats().submitted, 0, "no drain was queued");
+        queue.shutdown();
+    }
+
+    #[test]
+    fn the_actors_echo_is_delivered_last() {
+        let (room, queue) = queued_room(RoomConfig::new("r"));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let names = ["m0", "m1", "m2", "m3", "m4"];
+        let sinks: Vec<_> = names
+            .iter()
+            .map(|name| InlineSink::new(name, &order, || true))
+            .collect();
+        for (name, sink) in names.iter().zip(&sinks) {
+            room.join(name, sink.clone(), 0);
+        }
+        for round in 0..50 {
+            let actor = names[round % names.len()];
+            order.lock().clear();
+            room.publish(actor, "k", Value::I64(round as i64)).unwrap();
+            let order = order.lock();
+            assert_eq!(order.len(), names.len(), "each member once");
+            assert_eq!(order.last().map(String::as_str), Some(actor), "{order:?}");
+        }
+        queue.shutdown();
+    }
+
+    #[test]
+    fn a_sink_answering_none_is_served_by_exactly_one_queued_drain() {
+        let (room, queue) = queued_room(RoomConfig::new("r"));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let tries = Arc::new(AtomicU64::new(0));
+        let queued = {
+            let tries = Arc::clone(&tries);
+            InlineSink::new("queued", &order, move || {
+                tries.fetch_add(1, Ordering::SeqCst);
+                false
+            })
+        };
+        let inline = InlineSink::new("inline", &order, || true);
+        room.join("queued", queued.clone(), 0);
+        room.join("inline", inline.clone(), 0);
+        settle(&queue);
+        let me = std::thread::current().id();
+        for i in 0..20 {
+            let (before, tried) = (queue.stats().submitted, tries.load(Ordering::SeqCst));
+            let seq = room.publish("inline", "k", Value::I64(i)).unwrap();
+            settle(&queue);
+            assert_eq!(queue.stats().submitted - before, 1, "publish {i}");
+            assert_eq!(
+                tries.load(Ordering::SeqCst) - tried,
+                1,
+                "one inline attempt"
+            );
+            let log = queued.log.lock();
+            let last = log.last().unwrap();
+            assert_eq!((last.seq, last.inline), (seq, false));
+            assert_ne!(last.thread, me, "delivered by a serve worker");
+        }
+        // `queued` also saw `inline` join (seq 2).
+        let published: Vec<u64> = (3..=room.seq()).collect();
+        assert_eq!(
+            queued.delta_seqs()[1..],
+            published,
+            "each delta once, in order"
+        );
+        assert_eq!(inline.delta_seqs(), published);
+        assert_eq!(queued.replica.state_json(), room.state_json());
+        assert_eq!(room.stats().busy_kicks, 0);
+        queue.shutdown();
+    }
+
+    #[test]
+    fn a_sink_that_starts_refusing_mid_stream_loses_and_duplicates_nothing() {
+        // A buffer that holds the whole run: every delta must arrive as
+        // itself, none folded into a snapshot.
+        let (room, queue) = queued_room(RoomConfig::new("r").with_member_buffer(1 << 12));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        // Takes two of every five offers inline, from the tenth on.
+        let offers = Arc::new(AtomicU64::new(0));
+        let fickle = {
+            let offers = Arc::clone(&offers);
+            InlineSink::new("fickle", &order, move || {
+                let n = offers.fetch_add(1, Ordering::SeqCst);
+                n < 10 || n % 5 < 2
+            })
+        };
+        let steady = InlineSink::new("steady", &order, || true);
+        room.join("fickle", fickle.clone(), 0);
+        room.join("steady", steady.clone(), 0);
+        std::thread::scope(|scope| {
+            for member in ["fickle", "steady"] {
+                let room = &room;
+                scope.spawn(move || {
+                    for i in 0..300 {
+                        room.publish(member, format!("k{}", i % 11), Value::I64(i))
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        settle(&queue);
+        let log = fickle.log.lock();
+        assert!(log.iter().any(|d| d.inline) && log.iter().any(|d| !d.inline));
+        drop(log);
+        // `fickle` also saw `steady` join (seq 2).
+        let published: Vec<u64> = (3..=room.seq()).collect();
+        assert_eq!(
+            fickle.delta_seqs()[1..],
+            published,
+            "every delta once, in order"
+        );
+        assert_eq!(steady.delta_seqs(), published);
+        for sink in [&fickle, &steady] {
+            assert_eq!(sink.replica.state_json(), room.state_json());
+            assert_eq!((sink.replica.gaps(), sink.replica.duplicates()), (0, 0));
+        }
+        assert_eq!(room.stats().coalesced_snapshots, 0);
+        queue.shutdown();
+    }
+
+    #[test]
+    fn an_overflow_coalesce_racing_an_inline_send_still_delivers_its_snapshot() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+        // The inline send of one delta stops half-way until the main
+        // thread has overflowed the member's buffer (2) behind it, then
+        // takes the delta (`take`) or hands it back.
+        for take in [true, false] {
+            let (room, queue) = queued_room(RoomConfig::new("r").with_member_buffer(2));
+            let order = Arc::new(Mutex::new(Vec::new()));
+            let (entered_tx, entered) = mpsc::channel::<()>();
+            let (go, go_rx) = mpsc::channel::<()>();
+            let gate = Mutex::new((entered_tx, go_rx));
+            let armed = Arc::new(AtomicBool::new(false));
+            let sink = {
+                let armed = Arc::clone(&armed);
+                InlineSink::new("m", &order, move || {
+                    if !armed.swap(false, Ordering::SeqCst) {
+                        return true;
+                    }
+                    let gate = gate.lock();
+                    gate.0.send(()).unwrap();
+                    gate.1.recv().unwrap();
+                    take
+                })
+            };
+            assert_eq!(room.join("m", sink.clone(), 0), 1);
+            armed.store(true, Ordering::SeqCst);
+            std::thread::scope(|scope| {
+                let stalled = scope.spawn(|| room.publish("m", "k0", Value::I64(0)).unwrap());
+                entered.recv_timeout(Duration::from_secs(5)).unwrap();
+                // Seqs 3 and 4 fill the buffer behind seq 2, seq 5
+                // overflows it into a snapshot at 5, and seq 6 queues
+                // behind that.
+                for i in 1..5 {
+                    room.publish("m", format!("k{i}"), Value::I64(i)).unwrap();
+                }
+                assert_eq!(room.stats().coalesced_snapshots, 1);
+                go.send(()).unwrap();
+                assert_eq!(stalled.join().unwrap(), 2);
+            });
+            settle(&queue);
+            let log = sink.log.lock().clone();
+            let snapshot = |seq| log.iter().any(|d| d.snapshot && d.seq == seq);
+            assert!(snapshot(5), "take={take}: {log:?}");
+            // Taken or handed back, the delta stays owed ahead of the
+            // snapshot that covers it: nothing lost, nothing twice.
+            assert_eq!(sink.delta_seqs(), vec![2, 6], "take={take}");
+            assert_eq!(sink.replica.state_json(), room.state_json());
+            assert_eq!((sink.replica.gaps(), sink.replica.duplicates()), (0, 0));
+            assert_eq!(room.stats().coalesced_snapshots, 1, "no second snapshot");
+            queue.shutdown();
+        }
+    }
+
+    #[test]
+    fn an_update_refused_during_a_rejoin_is_not_handed_to_the_new_sink() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+        let (room, queue) = queued_room(RoomConfig::new("r"));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (entered_tx, entered) = mpsc::channel::<()>();
+        let (go, go_rx) = mpsc::channel::<()>();
+        let gate = Mutex::new((entered_tx, go_rx));
+        let armed = Arc::new(AtomicBool::new(false));
+        let old = {
+            let armed = Arc::clone(&armed);
+            InlineSink::new("m", &order, move || {
+                if !armed.swap(false, Ordering::SeqCst) {
+                    return true;
+                }
+                let gate = gate.lock();
+                gate.0.send(()).unwrap();
+                gate.1.recv().unwrap();
+                false
+            })
+        };
+        room.join("m", old.clone(), 0);
+        armed.store(true, Ordering::SeqCst);
+        let new = InlineSink::new("m", &order, || true);
+        std::thread::scope(|scope| {
+            // The old sink stalls on seq 2, the member rejoins with a new
+            // one meanwhile, and then the old sink hands seq 2 back.
+            let stalled = scope.spawn(|| room.publish("m", "k", Value::I64(0)).unwrap());
+            entered.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(room.join("m", new.clone(), 0), 2);
+            go.send(()).unwrap();
+            assert_eq!(stalled.join().unwrap(), 2);
+        });
+        settle(&queue);
+        room.publish("m", "k", Value::I64(1)).unwrap();
+        settle(&queue);
+        // The new sink starts from its own snapshot, which holds seq 2.
+        let log = new.log.lock().clone();
+        let seqs: Vec<(u64, bool)> = log.iter().map(|d| (d.seq, d.snapshot)).collect();
+        assert_eq!(seqs, vec![(2, true), (3, false)]);
+        assert_eq!(new.replica.duplicates(), 0);
+        assert_eq!(new.replica.state_json(), room.state_json());
+        assert_eq!(old.delta_seqs(), Vec::<u64>::new());
+        queue.shutdown();
     }
 
     #[test]

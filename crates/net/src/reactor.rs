@@ -30,7 +30,9 @@
 //! threads block in `send` until the peer drains; reactor and timer
 //! threads never block (they are marked with a thread-local and enqueue
 //! unconditionally), because a blocked poller would deadlock the very
-//! connections that could relieve the pressure.
+//! connections that could relieve the pressure. `try_send` blocks on no
+//! thread: at the cap it hands the frame back unsent, even on a reactor
+//! or timer thread.
 //!
 //! Resource accounting is exported through the process-global metrics
 //! registry ([`alfredo_obs::global_metrics`]): `net.open_connections`,
@@ -55,7 +57,8 @@ use crate::transport::{CloseReason, FrameSink, PeerAddr, TransportError};
 use crate::wire::MAX_LENGTH;
 
 /// Cap on buffered-but-unsent bytes per connection before application
-/// `send` calls block (reactor/timer threads are exempt — see module docs).
+/// `send` calls block (reactor/timer threads are exempt — see module docs)
+/// and `try_send` calls hand their frame back.
 pub const OUTBOX_CAP: usize = 1 << 20;
 
 /// Max `IoSlice`s per vectored write.
@@ -545,6 +548,18 @@ impl Outbox {
     }
 }
 
+/// What a sender does when a connection's outbox is at [`OUTBOX_CAP`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AtCap {
+    /// Wait until the poller drains it (application threads' `send`).
+    Wait,
+    /// Queue anyway (reactor and timer threads' `send`: a blocked poller
+    /// would deadlock the very connections that could drain it).
+    Exceed,
+    /// Hand the frames back unsent (`try_send`, on any thread).
+    Refuse,
+}
+
 struct Inbox {
     q: VecDeque<Vec<u8>>,
     fin: bool,
@@ -615,27 +630,58 @@ impl Conn {
         self.send_batch(std::iter::once(frame))
     }
 
-    /// Queues `frames` back to back under one outbox lock, so no other
-    /// sender's frame lands between them, and writes them directly to the
-    /// socket when nothing is queued ahead of them (the common case: no
-    /// reactor round-trip at all), in as few vectored writes as the
-    /// socket takes. Blocks on the outbox cap unless called from a
-    /// reactor/timer thread.
+    /// Queues `frames` as one flight (see [`Conn::queue`]). Blocks on the
+    /// outbox cap unless called from a reactor/timer thread, which may
+    /// exceed it.
     pub(crate) fn send_batch(
         self: &Arc<Self>,
         frames: impl IntoIterator<Item = Vec<u8>>,
     ) -> Result<(), TransportError> {
+        let at_cap = if on_reactor_thread() {
+            AtCap::Exceed
+        } else {
+            AtCap::Wait
+        };
+        self.queue(frames, at_cap).map(|_| ())
+    }
+
+    /// Queues one frame unless the outbox is at its cap: then the frame
+    /// comes back unsent, on every thread, reactor and timer threads
+    /// included.
+    pub(crate) fn try_send(
+        self: &Arc<Self>,
+        frame: Vec<u8>,
+    ) -> Result<Option<Vec<u8>>, TransportError> {
+        let refused = self.queue(std::iter::once(frame), AtCap::Refuse)?;
+        Ok(refused.and_then(|mut frame| frame.next()))
+    }
+
+    /// The one queueing routine of a connection: queues `frames` back to
+    /// back under one outbox lock, so no other sender's frame lands
+    /// between them, and writes them directly to the socket when nothing
+    /// is queued ahead of them (the common case: no reactor round-trip at
+    /// all), in as few vectored writes as the socket takes. An outbox at
+    /// [`OUTBOX_CAP`] is met as `at_cap` says; only [`AtCap::Refuse`]
+    /// hands `frames` back (`Ok(Some(frames))`), untouched.
+    fn queue<I: IntoIterator<Item = Vec<u8>>>(
+        self: &Arc<Self>,
+        frames: I,
+        at_cap: AtCap,
+    ) -> Result<Option<I>, TransportError> {
         if self.closed.load(Ordering::SeqCst) {
             return Err(TransportError::Closed);
         }
         let mut out = self.out.lock();
-        if !on_reactor_thread() {
+        if at_cap == AtCap::Wait {
             while out.bytes >= OUTBOX_CAP && !out.closing && !self.closed.load(Ordering::SeqCst) {
                 out = self.out_cv.wait(out);
             }
         }
         if out.closing || self.closed.load(Ordering::SeqCst) {
             return Err(TransportError::Closed);
+        }
+        if at_cap == AtCap::Refuse && out.bytes >= OUTBOX_CAP {
+            return Ok(Some(frames));
         }
         // Inline when nothing is queued and no writability wait is armed:
         // the socket buffer likely has room, and the outbox lock keeps
@@ -650,7 +696,7 @@ impl Conn {
         }
         if inline {
             match out.write_to(&self.stream, &self.poller.write_calls) {
-                Ok(true) => return Ok(()),
+                Ok(true) => return Ok(None),
                 Ok(false) => {}
                 Err(_) => {
                     out.q.clear();
@@ -668,7 +714,7 @@ impl Conn {
         if need_kick && !self.write_scheduled.swap(true, Ordering::SeqCst) {
             self.poller.kick(Arc::clone(self));
         }
-        Ok(())
+        Ok(None)
     }
 
     pub(crate) fn recv(&self) -> Result<Vec<u8>, TransportError> {

@@ -67,6 +67,13 @@ impl Transport for TcpTransport {
         self.conn.send_batch(frames)
     }
 
+    /// Queues and writes `frame` as `send` does, but hands it back when
+    /// the outbox is at [`crate::reactor::OUTBOX_CAP`] instead of waiting
+    /// — on every thread, reactor and timer threads included.
+    fn try_send(&self, frame: Vec<u8>) -> Result<Option<Vec<u8>>, TransportError> {
+        self.conn.try_send(frame)
+    }
+
     fn recv(&self) -> Result<Vec<u8>, TransportError> {
         self.conn.recv()
     }
@@ -169,7 +176,7 @@ impl TcpNetListener {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::mpsc;
 
@@ -444,7 +451,9 @@ mod tests {
         // Each batch is three 1 MiB frames: far more than a socket buffer
         // takes, so it leaves in partial writes finished by the poller,
         // while a second thread keeps racing single frames into the same
-        // outbox until the batches are out, then sends an end marker.
+        // outbox until the batches are out, then sends an end marker. The
+        // singles go by `send`, or by `try_send`, which meets the full
+        // outbox and retries a frame it hands back.
         const ROUNDS: u8 = 4;
         const MIB: usize = 1 << 20;
         const SINGLE: u8 = 0x5A;
@@ -460,7 +469,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        for &backend in BACKENDS {
+        let runs = BACKENDS.iter().flat_map(|&b| [(b, false), (b, true)]);
+        for (backend, try_singles) in runs {
             let reactor = Reactor::new(1, backend).unwrap();
             let (client, server) = pair_on(&reactor);
             let client = Arc::new(client);
@@ -472,7 +482,14 @@ mod tests {
                     while batching.load(Ordering::SeqCst) {
                         let mut frame = vec![SINGLE];
                         frame.extend_from_slice(&seq.to_le_bytes());
-                        client.send(frame).unwrap();
+                        if try_singles {
+                            while let Some(back) = client.try_send(frame).unwrap() {
+                                std::thread::yield_now();
+                                frame = back;
+                            }
+                        } else {
+                            client.send(frame).unwrap();
+                        }
                         seq += 1;
                     }
                     client.send(vec![END]).unwrap();
@@ -526,7 +543,21 @@ mod tests {
                 Err(TransportError::Closed),
                 "{backend:?}"
             );
+            assert_eq!(
+                client.try_send(b"a".to_vec()),
+                Err(TransportError::Closed),
+                "{backend:?}"
+            );
         }
+        // The in-memory channel never waits: `try_send` sends, until closed.
+        let net = crate::InMemoryNetwork::new();
+        let listener = net.bind(PeerAddr::new("s")).unwrap();
+        let client = net.connect(PeerAddr::new("c"), PeerAddr::new("s")).unwrap();
+        let server = listener.accept().unwrap();
+        assert_eq!(client.try_send(b"a".to_vec()), Ok(None));
+        assert_eq!(server.recv().unwrap(), b"a");
+        client.close();
+        assert_eq!(client.try_send(b"a".to_vec()), Err(TransportError::Closed));
     }
 
     #[test]
@@ -595,5 +626,94 @@ mod tests {
         let client = sender.join().unwrap();
         assert_eq!(sent.load(Ordering::SeqCst), n_frames);
         drop(client);
+    }
+
+    /// A transport on `reactor` whose peer is a bare socket nobody reads.
+    fn plugged_on(reactor: &Reactor) -> (TcpTransport, TcpStream) {
+        let listener = TcpNetListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr();
+        let accept = std::thread::spawn(move || listener.accept_stream().unwrap());
+        let client = TcpStream::connect(addr).unwrap();
+        (
+            TcpTransport::from_stream_on(reactor, client).unwrap(),
+            accept.join().unwrap(),
+        )
+    }
+
+    /// `try_send`s 256 KiB frames until one comes back: the socket buffers
+    /// are full and the outbox is at its cap. Returns the bytes taken.
+    fn fill_outbox(wire: &TcpTransport) -> usize {
+        let mut taken = 0;
+        loop {
+            match wire.try_send(vec![0xAB; 256 * 1024]).unwrap() {
+                None => taken += 4 + 256 * 1024,
+                Some(back) => {
+                    assert_eq!(back.len(), 256 * 1024, "handed back whole");
+                    return taken;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn try_send_hands_the_frame_back_at_the_cap_on_any_thread() {
+        type TrySent = Result<Option<Vec<u8>>, TransportError>;
+        struct Relay {
+            target: Arc<TcpTransport>,
+            results: mpsc::Sender<(TrySent, Duration)>,
+        }
+        impl FrameSink for Relay {
+            fn on_frame(&mut self, frame: Vec<u8>) {
+                // A reactor callback: `send` could exceed the cap here,
+                // `try_send` must still refuse.
+                let started = std::time::Instant::now();
+                let result = self.target.try_send(frame);
+                let _ = self.results.send((result, started.elapsed()));
+            }
+            fn on_close(&mut self) {}
+        }
+        for &backend in BACKENDS {
+            let reactor = Reactor::new(1, backend).unwrap();
+            let (wire, mut peer) = plugged_on(&reactor);
+            let wire = Arc::new(wire);
+            assert!(fill_outbox(&wire) >= crate::reactor::OUTBOX_CAP);
+
+            // An application thread: refused at once.
+            let started = std::time::Instant::now();
+            assert_eq!(wire.try_send(b"app".to_vec()), Ok(Some(b"app".to_vec())));
+            assert!(started.elapsed() < Duration::from_secs(1), "{backend:?}");
+
+            // A reactor thread: the relay's sink runs on the same poller.
+            let (relay_in, relay) = pair_on(&reactor);
+            let (tx, results) = mpsc::channel();
+            relay.set_sink(Box::new(Relay {
+                target: Arc::clone(&wire),
+                results: tx,
+            }));
+            relay_in.send(b"reactor".to_vec()).unwrap();
+            let (result, took) = results.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(result, Ok(Some(b"reactor".to_vec())), "{backend:?}");
+            assert!(took < Duration::from_secs(1), "{backend:?}");
+
+            // Once the peer reads, the outbox drains and frames go out again.
+            let reader = std::thread::spawn(move || {
+                let mut buf = vec![0u8; 1 << 16];
+                let mut total = 0usize;
+                while let Ok(n) = peer.read(&mut buf) {
+                    if n == 0 {
+                        break;
+                    }
+                    total += n;
+                }
+                total
+            });
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while wire.try_send(b"later".to_vec()).unwrap().is_some() {
+                assert!(std::time::Instant::now() < deadline, "{backend:?}");
+                std::thread::yield_now();
+            }
+            wire.close();
+            assert!(reader.join().unwrap() > crate::reactor::OUTBOX_CAP);
+        }
     }
 }

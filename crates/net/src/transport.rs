@@ -170,6 +170,20 @@ pub trait Transport: Send + Sync {
         frames.into_iter().try_for_each(|frame| self.send(frame))
     }
 
+    /// Sends `frame` only if that cannot block: `Ok(None)` once it is
+    /// sent (or queued to be), `Ok(Some(frame))` handing it back unsent
+    /// when sending would have to wait. The default always hands it back
+    /// — "I cannot promise not to block" — so a wrapper whose `send` may
+    /// sleep (fault injection) is never called where waiting is not
+    /// allowed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransportError::Closed`] if the connection is closed.
+    fn try_send(&self, frame: Vec<u8>) -> Result<Option<Vec<u8>>, TransportError> {
+        Ok(Some(frame))
+    }
+
     /// Receives the next frame, blocking until one arrives.
     ///
     /// # Errors
@@ -286,6 +300,11 @@ impl Transport for ChannelTransport {
         self.tx
             .send(Packet::Frame(frame))
             .map_err(|_| TransportError::Closed)
+    }
+
+    /// The in-memory channel is unbounded: a send never waits.
+    fn try_send(&self, frame: Vec<u8>) -> Result<Option<Vec<u8>>, TransportError> {
+        self.send(frame).map(|()| None)
     }
 
     fn recv(&self) -> Result<Vec<u8>, TransportError> {

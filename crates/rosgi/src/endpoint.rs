@@ -1080,6 +1080,31 @@ impl RemoteEndpoint {
         self.inner.send_frame(buf)
     }
 
+    /// [`RemoteEndpoint::send_event_frame`] only if the wire can take the
+    /// frame without blocking ([`Transport::try_send`]): `Ok(true)` once
+    /// it went out, counted in `frames_sent`/`bytes_sent`; `Ok(false)`
+    /// when the wire handed it back, counted nowhere, its buffer back in
+    /// the pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns a transport error if the connection is closed.
+    pub fn try_send_event_frame(&self, frame: &[u8]) -> Result<bool, RosgiError> {
+        let inner = &self.inner;
+        let mut buf = inner.pool.take();
+        buf.extend_from_slice(frame);
+        match inner.wire().try_send(buf)? {
+            None => {
+                inner.count_sent(frame);
+                Ok(true)
+            }
+            Some(buf) => {
+                inner.pool.give(buf);
+                Ok(false)
+            }
+        }
+    }
+
     /// Opens a stream to the peer and sends `data` in flow-controlled
     /// chunks; blocks until fully sent.
     ///

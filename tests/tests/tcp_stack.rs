@@ -6,15 +6,23 @@
 //! no per-connection reader threads exist anywhere in these tests.
 
 use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, PoisonError, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use alfredo_apps::{register_shop, sample_catalog, SHOP_INTERFACE};
-use alfredo_core::{AlfredOEngine, Device, EngineConfig};
+use alfredo_core::{
+    presence_key, register_room_hub, room_clock_ms, room_update_topic, AlfredOEngine, Device,
+    DeviceJournal, DeviceJournalConfig, EngineConfig, ReplicaSink, Room, RoomConfig, RoomHub,
+    RoomOp, RoomReplica, RoomUpdate, ServedTcpDevice, ROOMS_INTERFACE,
+};
 use alfredo_net::{TcpNetListener, TcpTransport, Transport};
-use alfredo_osgi::Framework;
+use alfredo_osgi::{Framework, Value};
 use alfredo_rosgi::{
-    DiscoveryDirectory, EndpointConfig, RemoteEndpoint, ServeQueue, ServeQueueConfig,
+    DiscoveryDirectory, EndpointConfig, HeartbeatConfig, RemoteEndpoint, ServeQueue,
+    ServeQueueConfig,
 };
 use alfredo_ui::{DeviceCapabilities, UiEvent};
 
@@ -212,7 +220,7 @@ fn slow_reader_write_backpressure_drains() {
 fn faulty_tcp_endpoint_reconnects_with_wheel_heartbeat() {
     let _wire = WIRE.read().unwrap_or_else(PoisonError::into_inner);
     use alfredo_net::{FaultPlan, FaultyTransport, Transport, TransportError};
-    use alfredo_rosgi::{HealthState, HeartbeatConfig, ReconnectConfig, ReconnectFn};
+    use alfredo_rosgi::{HealthState, ReconnectConfig, ReconnectFn};
 
     let listener = TcpNetListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
@@ -276,6 +284,67 @@ fn faulty_tcp_endpoint_reconnects_with_wheel_heartbeat() {
     device.stop();
 }
 
+/// The room of the room tests.
+const ROOM: &str = "board";
+
+/// A device hosting one journaled room behind a TCP listener: a room hub,
+/// a lease journal, and a patient heartbeat (no member of these tests
+/// goes silent for long, so none may be taken for dead on a busy
+/// machine). With `queue`, the device serves invocations and the room
+/// fans out through it; without, both run inline.
+fn journaled_room_device(
+    dir: &Path,
+    queue: Option<ServeQueue>,
+) -> (Arc<DeviceJournal>, Arc<Room>, Arc<RoomHub>, ServedTcpDevice) {
+    let fw = Framework::new();
+    let journal = DeviceJournal::open(DeviceJournalConfig::new(dir)).unwrap();
+    let room = journal.register_room(RoomConfig::new(ROOM), queue.clone(), room_clock_ms());
+    let hub = RoomHub::new(RoomConfig::new(ROOM));
+    hub.adopt(Arc::clone(&room));
+    let _reg = register_room_hub(&fw, Arc::clone(&hub)).unwrap();
+    let heartbeat = HeartbeatConfig {
+        interval: Duration::from_millis(40),
+        timeout: Duration::from_millis(250),
+        degraded_after: 2,
+        disconnected_after: 50,
+    };
+    let mut device = Device::new(fw)
+        .rooms(Arc::clone(&hub), heartbeat)
+        .lease_journal(journal.lease_journal().clone());
+    if let Some(queue) = queue {
+        device = device.queue(queue);
+    }
+    let device = device
+        .serve_tcp(TcpNetListener::bind("127.0.0.1:0").unwrap())
+        .unwrap();
+    (journal, room, hub, device)
+}
+
+/// A room phone dialing `addr`: an endpoint over a TCP transport, a
+/// replica fed by its event bus, and a probe that reports every update
+/// after the replica has applied it (subscribers run in subscription
+/// order).
+fn room_phone(
+    name: &str,
+    addr: SocketAddr,
+) -> (
+    RemoteEndpoint,
+    Arc<RoomReplica>,
+    mpsc::Receiver<Option<RoomUpdate>>,
+) {
+    let fw = Framework::new();
+    let replica = RoomReplica::new(ROOM);
+    replica.attach(fw.event_admin());
+    let (tx, updates) = mpsc::channel();
+    fw.event_admin()
+        .subscribe(room_update_topic(ROOM), move |event| {
+            let _ = tx.send(RoomUpdate::from_properties(&event.properties));
+        });
+    let wire = TcpTransport::connect(addr).unwrap();
+    let ep = RemoteEndpoint::establish(Box::new(wire), fw, EndpointConfig::named(name)).unwrap();
+    (ep, replica, updates)
+}
+
 /// The cell of the listener × options matrix no device could serve
 /// before the builder: a room hub and a lease journal behind a TCP
 /// listener. Two phones share a room over real sockets; one walks away
@@ -285,60 +354,16 @@ fn faulty_tcp_endpoint_reconnects_with_wheel_heartbeat() {
 #[test]
 fn tcp_device_hosts_a_journaled_room() {
     let _wire = WIRE.read().unwrap_or_else(PoisonError::into_inner);
-    use alfredo_core::{
-        presence_key, register_room_hub, room_clock_ms, room_update_topic, DeviceJournal,
-        DeviceJournalConfig, RoomConfig, RoomHub, RoomOp, RoomReplica, RoomUpdate, ROOMS_INTERFACE,
-    };
-    use alfredo_osgi::Value;
-    use alfredo_rosgi::{HealthState, HeartbeatConfig};
+    use alfredo_rosgi::HealthState;
 
-    const ROOM: &str = "board";
     const ROUNDS: i64 = 20;
     let timeout = Duration::from_secs(5);
     let dir = std::env::temp_dir().join(format!("alfredo-tcp-room-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    let boot = || {
-        let fw = Framework::new();
-        let journal = DeviceJournal::open(DeviceJournalConfig::new(&dir)).unwrap();
-        let room = journal.register_room(RoomConfig::new(ROOM), None, room_clock_ms());
-        let hub = RoomHub::new(RoomConfig::new(ROOM));
-        hub.adopt(Arc::clone(&room));
-        let _reg = register_room_hub(&fw, Arc::clone(&hub)).unwrap();
-        // A patient device-side heartbeat: no member of this test goes
-        // silent, so none may be taken for dead on a busy machine.
-        let heartbeat = HeartbeatConfig {
-            interval: Duration::from_millis(40),
-            timeout: Duration::from_millis(250),
-            degraded_after: 2,
-            disconnected_after: 50,
-        };
-        let device = Device::new(fw)
-            .rooms(Arc::clone(&hub), heartbeat)
-            .lease_journal(journal.lease_journal().clone())
-            .serve_tcp(TcpNetListener::bind("127.0.0.1:0").unwrap())
-            .unwrap();
-        (journal, room, hub, device)
-    };
+    let boot = || journaled_room_device(&dir, None);
     let (journal, room, hub, device) = boot();
-
-    // A phone: an endpoint over a TCP transport, a replica fed by its
-    // event bus, and a probe that reports every update after the replica
-    // has applied it (subscribers run in subscription order).
-    let phone = |name: &str| {
-        let fw = Framework::new();
-        let replica = RoomReplica::new(ROOM);
-        replica.attach(fw.event_admin());
-        let (tx, updates) = mpsc::channel();
-        fw.event_admin()
-            .subscribe(room_update_topic(ROOM), move |event| {
-                let _ = tx.send(RoomUpdate::from_properties(&event.properties));
-            });
-        let wire = TcpTransport::connect(device.addr()).unwrap();
-        let ep =
-            RemoteEndpoint::establish(Box::new(wire), fw, EndpointConfig::named(name)).unwrap();
-        (ep, replica, updates)
-    };
+    let phone = |name: &str| room_phone(name, device.addr());
     let (alice, alice_replica, _alice_updates) = phone("alice");
     let (bob, bob_replica, bob_updates) = phone("bob");
 
@@ -423,9 +448,7 @@ fn tcp_device_hosts_a_journaled_room() {
 #[test]
 fn room_join_right_after_establish_needs_no_retry() {
     let _wire = WIRE.read().unwrap_or_else(PoisonError::into_inner);
-    use alfredo_core::{register_room_hub, RoomConfig, RoomHub, ROOMS_INTERFACE};
-    use alfredo_osgi::Value;
-    use alfredo_rosgi::{HeartbeatConfig, RetryPolicy};
+    use alfredo_rosgi::RetryPolicy;
 
     let fw = Framework::new();
     let hub = RoomHub::new(RoomConfig::new("board"));
@@ -488,4 +511,226 @@ fn establish_sends_each_flight_in_one_write() {
         phone.close();
         device_ep.close();
     }
+}
+
+/// A TCP relay in front of `target` whose target-to-client direction can
+/// be plugged: while `plugged` is set it reads nothing from `target`, so
+/// what `target` sends piles up in the socket buffers and then in the
+/// target's outbox. Its threads end with the connection.
+struct Plug {
+    addr: SocketAddr,
+    plugged: Arc<AtomicBool>,
+    relay: std::thread::JoinHandle<()>,
+}
+
+fn plug_in_front_of(target: SocketAddr) -> Plug {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let plugged = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&plugged);
+    let relay = std::thread::spawn(move || {
+        let (client, _) = listener.accept().unwrap();
+        let server = TcpStream::connect(target).unwrap();
+        let (mut upstream_in, mut upstream_out) =
+            (client.try_clone().unwrap(), server.try_clone().unwrap());
+        let upstream = std::thread::spawn(move || {
+            let _ = std::io::copy(&mut upstream_in, &mut upstream_out);
+            let _ = upstream_out.shutdown(std::net::Shutdown::Write);
+        });
+        let (mut downstream_in, mut downstream_out) = (server, client);
+        let mut buf = vec![0u8; 64 * 1024];
+        loop {
+            while flag.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            match downstream_in.read(&mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => {
+                    if downstream_out.write_all(&buf[..n]).is_err() {
+                        break;
+                    }
+                }
+            }
+        }
+        let _ = downstream_out.shutdown(std::net::Shutdown::Write);
+        upstream.join().unwrap();
+    });
+    Plug {
+        addr,
+        plugged,
+        relay,
+    }
+}
+
+/// Waits until every job the queue took has run to its end.
+fn settle(queue: &ServeQueue) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = queue.stats();
+        if stats.served == stats.submitted {
+            return;
+        }
+        assert!(Instant::now() < deadline, "queue never settled: {stats:?}");
+        std::thread::yield_now();
+    }
+}
+
+/// Backpressure over TCP with the publish delivering inline: one phone
+/// stops reading until the device's outbox to it is full. The publisher
+/// never waits on that wire (every publish returns), the plugged member
+/// falls back to a queued drain and is coalesced, and the healthy phone
+/// gets every delta in order. Unplugged, the plugged phone converges to
+/// the room's bytes.
+#[test]
+fn a_plugged_phone_never_blocks_the_publisher_and_converges_once_unplugged() {
+    let _wire = WIRE.read().unwrap_or_else(PoisonError::into_inner);
+    let timeout = Duration::from_secs(5);
+    let dir = std::env::temp_dir().join(format!("alfredo-tcp-plugged-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let queue = ServeQueue::new(ServeQueueConfig::workers(2));
+    let (journal, room, _hub, device) = journaled_room_device(&dir, Some(queue.clone()));
+    let plug = plug_in_front_of(device.addr());
+    let (healthy, healthy_replica, _) = room_phone("healthy", device.addr());
+    let (plugged, plugged_replica, _) = room_phone("plugged", plug.addr);
+    for (name, ep) in [("healthy", &healthy), ("plugged", &plugged)] {
+        let seat = [Value::from(ROOM), Value::from(name)];
+        ep.invoke(ROOMS_INTERFACE, "join", &seat).unwrap();
+    }
+    plugged.ping(timeout).unwrap();
+    assert_eq!(plugged_replica.last_seq(), 2);
+
+    // 64 KiB values under four keys, published by the healthy phone until
+    // the plugged member's backlog overflowed: its outbox is full and its
+    // drain waits on a serve worker. Then as many again behind that.
+    plug.plugged.store(true, Ordering::SeqCst);
+    let value = Value::Str("v".repeat(64 * 1024));
+    let publish = |i: u64| {
+        let args = [
+            Value::from(ROOM),
+            Value::from("healthy"),
+            Value::Str(format!("k{}", i % 4)),
+            value.clone(),
+        ];
+        healthy.invoke(ROOMS_INTERFACE, "publish", &args).unwrap();
+    };
+    let mut published = 0u64;
+    while room.stats().coalesced_snapshots == 0 {
+        assert!(
+            published < 5_000,
+            "the outbox never filled: {:?}",
+            room.stats()
+        );
+        publish(published);
+        published += 1;
+    }
+    for _ in 0..100 {
+        publish(published);
+        published += 1;
+    }
+    healthy.ping(timeout).unwrap();
+    assert_eq!(healthy_replica.last_seq(), room.seq());
+    assert_eq!(healthy_replica.state_json(), room.state_json());
+    assert_eq!(
+        (healthy_replica.gaps(), healthy_replica.duplicates()),
+        (0, 0)
+    );
+    // The join's snapshot, the plugged phone's presence, then each publish.
+    assert_eq!(healthy_replica.snapshots_applied(), 1);
+    assert_eq!(healthy_replica.deltas_applied(), 1 + published);
+    assert_eq!(room.stats().busy_kicks, 0);
+
+    plug.plugged.store(false, Ordering::SeqCst);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while plugged_replica.last_seq() != room.seq() {
+        assert!(Instant::now() < deadline, "{plugged_replica:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        plugged_replica.state_json(),
+        room.state_json(),
+        "byte-identical"
+    );
+    assert_eq!(
+        (plugged_replica.gaps(), plugged_replica.duplicates()),
+        (0, 0)
+    );
+    assert!(
+        plugged_replica.snapshots_applied() >= 2,
+        "{plugged_replica:?}"
+    );
+
+    healthy.close();
+    plugged.close();
+    device.stop();
+    queue.shutdown();
+    plug.relay.join().unwrap();
+    drop(room);
+    journal.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A room tap in exact counts: with two TCP phones and six in-process
+/// members in a queued room, each sequential tap delivers to both phones
+/// on the publisher's thread (`room.delivered_inline` +2, the actor's own
+/// echo included) and puts seven jobs on the serve queue: the invoke and
+/// one drain per in-process member.
+#[test]
+fn a_room_tap_reaches_its_tcp_members_without_a_queue_hop() {
+    let _alone = WIRE.write().unwrap_or_else(PoisonError::into_inner);
+    const PASSIVE: usize = 6;
+    const TAPS: usize = 40;
+    let inline = alfredo_obs::global_metrics().counter("room.delivered_inline");
+    let dir = std::env::temp_dir().join(format!("alfredo-tcp-counts-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let queue = ServeQueue::new(ServeQueueConfig::workers(2));
+    let (journal, room, _hub, device) = journaled_room_device(&dir, Some(queue.clone()));
+    let passive: Vec<Arc<RoomReplica>> = (0..PASSIVE)
+        .map(|i| {
+            let replica = RoomReplica::new(ROOM);
+            let sink = Arc::new(ReplicaSink(Arc::clone(&replica)));
+            room.join(&format!("passive-{i}"), sink, room_clock_ms());
+            replica
+        })
+        .collect();
+    let phones = [
+        ("alice", room_phone("alice", device.addr())),
+        ("bob", room_phone("bob", device.addr())),
+    ];
+    for (name, (ep, _, _)) in &phones {
+        let seat = [Value::from(ROOM), Value::from(*name)];
+        ep.invoke(ROOMS_INTERFACE, "join", &seat).unwrap();
+    }
+    for tap in 0..TAPS {
+        settle(&queue);
+        let (inline_before, submitted_before) = (inline.get(), queue.stats().submitted);
+        let (name, (ep, _, _)) = &phones[tap % 2];
+        let args = [
+            Value::from(ROOM),
+            Value::from(*name),
+            Value::Str(format!("cursor/{name}")),
+            Value::I64(tap as i64),
+        ];
+        ep.invoke(ROOMS_INTERFACE, "publish", &args).unwrap();
+        settle(&queue);
+        assert_eq!(inline.get() - inline_before, 2, "tap {tap}");
+        assert_eq!(queue.stats().submitted - submitted_before, 7, "tap {tap}");
+    }
+    assert_eq!(room.stats().busy_kicks, 0);
+    assert_eq!(room.stats().coalesced_snapshots, 0);
+    for (_, (ep, replica, _)) in &phones {
+        ep.ping(Duration::from_secs(5)).unwrap();
+        assert_eq!(replica.state_json(), room.state_json());
+    }
+    for replica in &passive {
+        assert_eq!(replica.state_json(), room.state_json());
+    }
+
+    for (_, (ep, _, _)) in &phones {
+        ep.close();
+    }
+    device.stop();
+    queue.shutdown();
+    drop(room);
+    journal.close().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
